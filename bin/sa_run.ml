@@ -96,10 +96,36 @@ let parse_sched spec ~n =
       (Fmt.str "unknown scheduler %S; valid specs: %s" spec
          (String.concat " | " sched_specs))
 
+(* Validation past parsing is a term error: cmdliner prints "sa_run:
+   MSG" with the usage line and [Cmd.eval ~term_err:2] (bottom of the
+   file) exits 2, as it does for unparsable arguments — bad input never
+   escapes as an uncaught exception. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"on a safety violation, a failed verdict or a divergence.";
+      info 2 ~doc:"on usage errors: unparsable or out-of-range arguments.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
+let params_term n m k =
+  let make n m k =
+    let p = { Agreement.Params.n; m; k } in
+    Result.map (fun () -> p) (Agreement.Params.validate p)
+  in
+  Term.(term_result' ~usage:true (const make $ n $ m $ k))
+
+let at_least lo name t =
+  let check v =
+    if v >= lo then Ok v else Error (Fmt.str "--%s must be at least %d, got %d" name lo v)
+  in
+  Term.(term_result' ~usage:true (const check $ t))
+
 (* exploration spec: engine:DEPTH *)
 let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
 
-let parse_explore spec ~jobs =
+let parse_explore spec ~jobs ~n =
   let engine_of = function
     | "naive" -> Some Spec.Modelcheck.Naive
     | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
@@ -107,6 +133,8 @@ let parse_explore spec ~jobs =
     | _ -> None
   in
   match String.split_on_char ':' spec with
+  | _ when n > Spec.Explore.max_n ->
+    Error (Fmt.str "--explore: at most %d processes, got n=%d" Spec.Explore.max_n n)
   | [ name; d ] -> (
     match (engine_of name, int_of_string_opt d) with
     | Some engine, Some depth when depth >= 0 -> Ok (engine, depth)
@@ -188,10 +216,10 @@ let explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config =
   end;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
-let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
+let run backend algo params impl sched_spec rounds trace diagram stats trace_out
     max_steps registers explore jobs shrink =
   set_memory_backend backend;
-  let params = Agreement.Params.make ~n ~m ~k in
+  let { Agreement.Params.n; k; _ } = params in
   let sched =
     match parse_sched sched_spec ~n with
     | Ok s -> s
@@ -206,7 +234,7 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
   let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
   match explore with
   | Some spec -> (
-    match parse_explore spec ~jobs with
+    match parse_explore spec ~jobs ~n with
     | Error e ->
       Fmt.epr "%s@." e;
       exit 2
@@ -281,10 +309,10 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
    records per-domain DPOR worker timelines, steal flows, and the
    exploration counter tracks. *)
 
-let trace_main backend algo n m k impl sched_spec rounds registers explore jobs
+let trace_main backend algo params impl sched_spec rounds registers explore jobs
     max_steps sets out jsonl_out stats =
   set_memory_backend backend;
-  let params = Agreement.Params.make ~n ~m ~k in
+  let { Agreement.Params.n; k; _ } = params in
   let impl = impl_of impl in
   let config = build_config ~algo ~impl ~registers params in
   let rounds =
@@ -299,7 +327,7 @@ let trace_main backend algo n m k impl sched_spec rounds registers explore jobs
     Obs.Trace.with_attached tr (fun () ->
         match explore with
         | Some spec -> (
-          match parse_explore spec ~jobs with
+          match parse_explore spec ~jobs ~n with
           | Error e ->
             Fmt.epr "%s@." e;
             exit 2
@@ -436,14 +464,14 @@ let trace_cmd =
           ~doc:"Print the phase breakdown, exploration series, and span summary.")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits
        ~doc:
          "Record a causal trace — spans, register-coverage timeline, per-domain DPOR \
           worker timelines with steal flows — and export Chrome trace-event JSON \
           loadable in Perfetto.")
     Term.(
-      const trace_main $ memory_backend_arg $ algo $ n $ m $ k $ impl $ sched $ rounds
-      $ registers $ explore $ jobs $ max_steps $ sets $ out $ jsonl_out $ stats)
+      const trace_main $ memory_backend_arg $ algo $ params_term n m k $ impl $ sched
+      $ rounds $ registers $ explore $ jobs $ max_steps $ sets $ out $ jsonl_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `analyze` subcommand: static protocol analyzer (lib/analyze).   *)
@@ -607,7 +635,7 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   if run then run_protocol ~engine prog;
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
 
-let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
+let analyze backend algos all p max_n mutants json_path witness no_dynamic
     protocol ir indep optimize sarif_path engine_s run explore_depth =
   set_memory_backend backend;
   let engine =
@@ -648,7 +676,6 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
   let rows =
     if all then Analyze.Report.sweep ~dynamic ~max_n ?algos ()
     else
-      let p = Agreement.Params.make ~n ~m ~k in
       Analyze.Registry.all
       |> List.filter (fun (e : Analyze.Registry.entry) ->
              (match algos with None -> true | Some l -> List.mem e.name l)
@@ -660,7 +687,6 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
   (* with --witness in single-triple mode, show the discovered path to
      every register in each algorithm's static footprint *)
   if witness && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
     Analyze.Registry.all
     |> List.filter (fun (e : Analyze.Registry.entry) ->
            (match algos with None -> true | Some l -> List.mem e.name l)
@@ -688,7 +714,6 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
            && e.applicable p)
   in
   if ir && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
     selected p
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            let lowered =
@@ -699,7 +724,6 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
            Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered)
   end;
   if indep && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
     selected p
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            Fmt.pr "@.%s independence facts: %a@." e.Analyze.Registry.name
@@ -733,7 +757,7 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
     bad;
   let mutants_ok =
     if mutants then
-      analyze_mutants ~witness ~params:(Agreement.Params.make ~n ~m ~k)
+      analyze_mutants ~witness ~params:p
     else true
   in
   (match json_path with
@@ -743,7 +767,6 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
       if mutants then
         List.map
           (fun (mu : Analyze.Mutants.mutant) ->
-            let p = Agreement.Params.make ~n ~m ~k in
             Obs.Json.Obj
               [
                 ("kind", Obs.Json.String "mutant");
@@ -891,7 +914,7 @@ let analyze_cmd =
              Requires --protocol.")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
@@ -900,7 +923,7 @@ let analyze_cmd =
           liveness, value sets) on a first-order protocol instead.  Exits 1 \
           on any violation.")
     Term.(
-      const analyze $ memory_backend_arg $ algos $ all $ n $ m $ k $ max_n $ mutants
+      const analyze $ memory_backend_arg $ algos $ all $ params_term n m k $ max_n $ mutants
       $ json_path $ witness $ no_dynamic $ protocol $ ir $ indep $ optimize
       $ sarif_path $ engine $ run $ explore_depth)
 
@@ -1016,7 +1039,7 @@ let conform_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
   in
   Cmd.v
-    (Cmd.info "conform"
+    (Cmd.info "conform" ~exits
        ~doc:
          "Audit the native multicore layer: capture real histories, check real-time \
           linearizability (chaos injection, crash-pending completion), shrink failures \
@@ -1029,7 +1052,7 @@ let conform_cmd =
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
 
 let serve backend shards domains clients ops keys theta seed app_name batch
-    window n m k trace_out stats =
+    window params trace_out stats =
   set_memory_backend backend;
   let app =
     match Service.App.by_name app_name with
@@ -1040,12 +1063,10 @@ let serve backend shards domains clients ops keys theta seed app_name batch
            (List.map (fun a -> a.Service.App.name) Service.App.all));
       exit 2
   in
-  let params =
-    try Agreement.Params.make ~n ~m ~k
-    with Invalid_argument msg ->
-      Fmt.epr "%s@." msg;
-      exit 2
-  in
+  if window < batch then begin
+    Fmt.epr "--window (%d) must be at least --batch (%d)@." window batch;
+    exit 2
+  end;
   let server =
     Service.Server.create ~batch_max:batch ~window ~app ~seed ~shards ~domains
       params
@@ -1077,7 +1098,7 @@ let serve backend shards domains clients ops keys theta seed app_name batch
   Fmt.pr "space: %d registers total (%d shards x min(n+2m-k, n) = %d each)@."
     (Service.Server.registers_used server)
     shards
-    (min (n + (2 * m) - k) n);
+    (Agreement.Params.registers_upper params);
   if stats then
     List.iter
       (fun (s : Service.Shard.stats) ->
@@ -1096,7 +1117,8 @@ let serve backend shards domains clients ops keys theta seed app_name batch
   | _ -> ());
   match Service.Server.verdict server with
   | Ok () ->
-    Fmt.pr "verdict: ok (every shard passes validity + %d-agreement%s)@." k
+    Fmt.pr "verdict: ok (every shard passes validity + %d-agreement%s)@."
+      params.Agreement.Params.k
       (if app.Service.App.name = "register" then " + linearizability" else "");
     exit 0
   | Error errors ->
@@ -1157,15 +1179,16 @@ let serve_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the per-shard breakdown.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Serve a replicated application over sharded, batched repeated set \
           agreement: Zipfian closed-loop load, per-shard backpressure, and a \
           conformance verdict (validity + k-agreement + linearizability) at the \
           end.  Exits 1 if any shard fails its verdict.")
     Term.(
-      const serve $ memory_backend_arg $ shards $ domains $ clients $ ops $ keys
-      $ theta $ seed $ app_arg $ batch $ window $ n $ m $ k $ trace_out $ stats)
+      const serve $ memory_backend_arg $ at_least 1 "shards" shards $ domains
+      $ at_least 1 "clients" clients $ ops $ keys $ theta $ seed $ app_arg
+      $ at_least 1 "batch" batch $ window $ params_term n m k $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `fuzz` subcommand: coverage-guided differential fuzzing of the
@@ -1312,7 +1335,7 @@ let fuzz_cmd =
              analyzer and conformance mutant must be caught within the budget.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:
          "Coverage-guided differential fuzzing of the simulator stack: random \
           protocols + schedules, coverage feedback from state keys and analyzer \
@@ -1390,13 +1413,13 @@ let cmd =
   Cmd.group
     ~default:
       Term.(
-        const run $ memory_backend_arg $ algo $ n $ m $ k $ impl $ sched $ rounds
+        const run $ memory_backend_arg $ algo $ params_term n m k $ impl $ sched $ rounds
         $ trace $ diagram $ stats $ trace_out $ max_steps $ registers $ explore $ jobs
         $ shrink)
-    (Cmd.info "sa_run"
+    (Cmd.info "sa_run" ~exits
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, or audit the native \
           layer with `conform'")
     [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd ]
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~term_err:2 cmd)

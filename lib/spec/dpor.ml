@@ -1,664 +1,121 @@
-(* Exploration engine v2: partial-order reduction, state caching, and
-   multi-domain exploration of the schedule tree.
+(* The interpreter instance of the DPOR core (Spec.Explore): states are
+   free-monad configurations (Config.t) carrying their incremental
+   state hash (Spec.Statehash).
 
-   The naive checker (Spec.Modelcheck.exhaustive) enumerates every
-   schedule of length ≤ depth — n^depth nodes.  This engine exploits
-   the structure of the shared-memory model to explore one
-   representative per equivalence class of schedules instead, without
-   weakening the verdict for the bundled (record-order-insensitive)
-   properties:
+   Footprints come from Config.footprint and commute by
+   Program.independent.  An optional conditional-independence
+   refinement ([static_indep]) is consulted only when footprints
+   collide: it keeps a process asleep when the two poised ops commute
+   to the identical state in the *current* memory — sound here because
+   sleep sets only need commutation at this node, unlike the persistent
+   ample-set choice, which the refinement never widens.
 
-   - Independence / local-step priority.  Two steps of different
-     processes commute when neither writes a register the other
-     touches (Program.independent on Config.footprint).  A step with
-     an *empty* footprint (an invocation, an output) commutes with
-     everything forever, so when some process is poised at one, it is
-     a singleton persistent ("ample") set: exploring only that branch
-     loses no behaviour — every execution is trace-equivalent to one
-     that takes the local step first, and frontier completion performs
-     any postponed local steps deterministically.
-
-   - Sleep sets.  When several memory-touching steps are enabled, all
-     are branched on, but a branch that merely re-orders independent
-     steps already covered by an earlier sibling is pruned: after
-     exploring pid p, p joins the "sleep set" of the later siblings'
-     subtrees and stays there while the steps taken commute with p's.
-
-   - State caching.  A canonical key of the reached state
-     (Spec.Statehash) memoizes explored states, so different
-     interleavings of independent steps that converge to the same
-     state are explored once.  An entry may only short-circuit a new
-     visit if it had at least as much remaining depth budget and was
-     explored with a sleep set no larger than the current one — both
-     guards are required for soundness (docs/EXPLORATION.md).
-
-   - Parallel domains.  The schedule tree is sharded across OCaml 5
-     domains with work-stealing deques: each domain runs depth-first
-     over its own deque and steals the oldest (largest-subtree) half
-     of a victim's deque when empty.  Caches and counters are
-     domain-local (no contention); counters merge at the end, and the
-     first violation found wins via a compare-and-set flag.
-
-     With the journaled memory backend (Shm.Memory.Journaled) a
-     configuration's register array is shared by its whole version
-     family, and reading it reroots mutable journal cells — so a
-     config may only ever be touched by the domain that built it.
-     Stealing therefore replays instead of sharing: each domain gets
-     its own unshared copy of the root (built before spawning), every
-     node records its owning domain and its schedule, and a domain
-     that picks up a foreign node rebuilds the configuration by
-     replaying the schedule on its own root.  Replay is deterministic
-     (same programs, same inputs, same pids), costs O(depth) once per
-     stolen node, and never dereferences the foreign config at all.
-     The observation hashes, sleep sets, and schedules carried by a
-     node are immutable and shared freely.
-
-   Caveat, stated once and repeated in the docs: under a *finite*
-   depth bound, reduction changes which length-≤-depth prefixes exist,
-   so naive and reduced engines complete slightly different frontier
-   sets.  Every class explored is genuine (violations are real and
-   re-checkable); a violation reachable only at the very edge of the
-   bound can require a slightly larger depth under reduction. *)
+   With the journaled memory backend (Shm.Memory.Journaled) a
+   configuration's register array is shared by its whole version
+   family, and reading it reroots mutable journal cells — so a config
+   may only ever be touched by the domain that built it.  With several
+   domains each worker context therefore holds its own unshared root
+   copy (built before any domain runs) and the core replays stolen
+   nodes on it.  Persistent configurations are shared freely. *)
 
 open Shm
-module Iset = Set.Make (Int)
 
-type stats = {
-  explored : int;      (* nodes visited (interior + frontier) *)
-  leaves : int;        (* frontier configurations completed and checked *)
-  max_depth : int;
-  cache_hits : int;    (* nodes short-circuited by the state cache *)
-  sleep_pruned : int;  (* branches pruned by sleep sets *)
-  refined : int;       (* sleep retentions owed to ?static_indep alone *)
-  steals : int;        (* successful steals (work-migration events) *)
-  domains : int;
-}
-
-type outcome = Complete of stats | Violation of Counterex.t * stats
-
-let pp_outcome ppf = function
-  | Complete { explored; leaves; cache_hits; sleep_pruned; _ } ->
-    Fmt.pf ppf "no violation (%d nodes, %d completions checked, %d cache hits, %d sleep-pruned)"
-      explored leaves cache_hits sleep_pruned
-  | Violation (ce, { explored; _ }) ->
-    Fmt.pf ppf "counterexample after %d nodes — %a" explored Counterex.pp ce
-
-(* ---- exploration nodes and per-domain work deques ---- *)
-
-type node = {
-  config : Config.t;
-  hash : Statehash.t;      (* per-pid observation hashes, for the cache *)
-  depth : int;
-  sched : int list;        (* pids stepped so far, reversed *)
-  sleep : Iset.t;          (* pids whose branches are covered elsewhere *)
-  owner : int;             (* domain that built [config] (journal ownership) *)
-}
-
-type deque = { lock : Mutex.t; mutable items : node list (* head = freshest *) }
-
-let push_deque dq n =
-  Mutex.lock dq.lock;
-  dq.items <- n :: dq.items;
-  Mutex.unlock dq.lock
-
-(* Pop up to [k] of the freshest nodes under one lock acquisition —
-   batched frontier expansion (PR 10).  With [k = 1] this is the
-   classic pop; larger batches amortize the lock and process a run of
-   sibling nodes back-to-back (they were pushed together, so their
-   configurations share structure and stay cache-warm).  The returned
-   list is freshest-first, preserving DFS order. *)
-let pop_deque_batch dq k =
-  Mutex.lock dq.lock;
-  let rec take k items acc =
-    if k = 0 then (List.rev acc, items)
-    else
-      match items with
-      | [] -> (List.rev acc, [])
-      | n :: rest -> take (k - 1) rest (n :: acc)
-  in
-  let taken, rest = take k dq.items [] in
-  dq.items <- rest;
-  Mutex.unlock dq.lock;
-  taken
-
-(* A thief takes the *oldest* half — shallow nodes with the largest
-   subtrees — leaving the owner its freshest (cache-warm) half. *)
-let steal_deque dq =
-  Mutex.lock dq.lock;
-  let stolen =
-    match dq.items with
-    | [] -> []
-    | [ n ] ->
-      dq.items <- [];
-      [ n ]
-    | items ->
-      let keep = List.length items / 2 in
-      let rec split i = function
-        | rest when i = 0 -> ([], rest)
-        | x :: rest ->
-          let kept, taken = split (i - 1) rest in
-          (x :: kept, taken)
-        | [] -> ([], [])
-      in
-      let kept, taken = split keep items in
-      dq.items <- kept;
-      taken
-  in
-  Mutex.unlock dq.lock;
-  stolen
-
-(* ---- the engine ---- *)
-
-(* Cache keys: the incremental Statehash key (the fast default), or
-   the original full MD5 digest (the audited reference path, also the
-   perf benchmark's old-cost arm). *)
 type key_mode = [ `Incremental | `Full ]
 
-type ckey = Kinc of Statehash.key | Kfull of Digest.t
-
 type ctx = {
-  bound : int;
-  batch : int;  (* nodes popped per deque lock acquisition *)
-  completion_steps : int;
+  root : Config.t;
+  audit : bool;  (* `Full keys: keep the MD5 audit digests *)
   inputs : pid:int -> instance:int -> Value.t option;
+  completion_steps : int;
   check : Config.t -> (unit, string) result;
-  use_cache : bool;
-  key_mode : key_mode;
-  (* conditional-independence refinement: may the poised ops of two
-     processes be swapped in the state whose memory is [mem] without
-     changing the resulting configuration?  [None] = footprints only. *)
   static_indep : (mem:Memory.t -> Program.op -> Program.op -> bool) option;
-  replay : bool;          (* journaled backend + several domains *)
-  roots : Config.t array; (* per-domain root copies (replay mode) *)
-  deques : deque array;
-  pending : int Atomic.t;             (* nodes queued or in flight *)
-  found : Counterex.t option Atomic.t;
-  (* -- observability (all optional, zero-cost when absent) -- *)
-  trace : Obs.Trace.t option;   (* ambient collector, captured at explore *)
-  troot : Obs.Trace.ctx option; (* the run's root span *)
-  (* worker id -> domain id, written once by each worker at startup; a
-     thief reads its victim's slot to attribute the out-side of a steal
-     flow (a stale read only misplaces one arrow, never corrupts) *)
-  doms : int array;
-  profiling : bool;
-  series : Obs.Prof.Series.t option;
+  prof : Obs.Prof.t option;
 }
 
-type acc = {
-  mutable explored : int;
-  mutable leaves : int;
-  mutable max_depth : int;
-  mutable cache_hits : int;
-  mutable sleep_pruned : int;
-  mutable refined : int;
-  mutable steals : int;
-}
+module Instance = struct
+  type nonrec ctx = ctx
+  type state = { config : Config.t; hash : Statehash.t }
 
-(* Per-worker observability state: the phase profile (merged into the
-   caller's after the join) and the strided sampling countdown. *)
-type wobs = { prof : Obs.Prof.t; mutable until_sample : int }
+  (* the incremental key (the fast default), or the original full MD5
+     digest (the audited reference path) *)
+  type key = Kinc of Statehash.key | Kfull of Digest.t
 
-(* Sampling stride for the time series and coverage counter tracks:
-   cheap enough to leave on whenever a trace/series is requested, fine
-   enough to resolve exploration shape. *)
-let sample_stride = 64
+  let move c config pid =
+    match Config.proc config pid with
+    | Program.Await _ ->
+      let inst = Config.instance config pid + 1 in
+      Config.invoke config pid (Option.get (c.inputs ~pid ~instance:inst))
+    | Program.Stop -> assert false (* not runnable *)
+    | Program.Op _ | Program.Yield _ -> Config.step config pid
 
-let report ctx ce = ignore (Atomic.compare_and_set ctx.found None (Some ce))
+  (* untimed: the core charges replays to [Obs.Prof.Replay] *)
+  let replay c sched =
+    List.fold_left
+      (fun { config; hash } pid ->
+        let config', ev = move c config pid in
+        { config = config'; hash = Statehash.record hash ~before:config config' ev })
+      { config = c.root; hash = Statehash.create ~audit:c.audit c.root }
+      sched
 
-(* Cache lookup-or-insert.  Skipping a revisit is sound only against an
-   entry that (a) had at least as much remaining budget and (b) was
-   explored with a sleep set no larger than ours — a smaller sleep set
-   means *more* branches were explored there, covering ours. *)
-let cache_covers ctx cache node ~remaining acc =
-  match cache with
-  | None -> false
-  | Some tbl ->
-    let key =
-      match ctx.key_mode with
-      | `Incremental -> Kinc (Statehash.key node.hash)
-      | `Full -> Kfull (Statehash.full_key node.hash node.config)
-    in
-    let entries = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-    if List.exists (fun (r, sl) -> r >= remaining && Iset.subset sl node.sleep) entries
-    then begin
-      acc.cache_hits <- acc.cache_hits + 1;
-      true
-    end
-    else begin
-      let entries = (remaining, node.sleep) :: entries in
-      let entries =
-        if List.length entries > 8 then List.filteri (fun i _ -> i < 8) entries
-        else entries
-      in
-      Hashtbl.replace tbl key entries;
-      false
-    end
+  let runnable c { config; _ } =
+    let has_input pid inst = Option.is_some (c.inputs ~pid ~instance:inst) in
+    let m = ref 0 in
+    for pid = Config.n config - 1 downto 0 do
+      m := (!m lsl 1) lor Bool.to_int (Config.runnable config ~has_input pid)
+    done;
+    !m
 
-(* Rebuild a foreign node's configuration by replaying its schedule on
-   this domain's own root copy (see the journal-ownership note above).
-   Invocation inputs are re-derived from [ctx.inputs] — the same values
-   the original execution consumed. *)
-let replay_config ctx ~id sched =
-  List.fold_left
-    (fun config pid ->
-      match Config.proc config pid with
-      | Program.Await _ ->
-        let inst = Config.instance config pid + 1 in
-        Stdlib.fst (Config.invoke config pid (Option.get (ctx.inputs ~pid ~instance:inst)))
-      | Program.Stop -> assert false (* replay of a valid schedule *)
-      | Program.Op _ | Program.Yield _ -> Stdlib.fst (Config.step config pid))
-    ctx.roots.(id) (List.rev sched)
+  let local _ { config; _ } pid = Program.footprint_is_local (Config.footprint config pid)
 
-(* Strided observability sampling: time-series row plus the coverage
-   and frontier counter tracks.  Runs every [sample_stride] nodes and
-   only when a series or trace is requested, so the hot path pays one
-   decrement-and-test per node. *)
-let sample ctx acc node =
-  let frontier () =
-    (* unlocked reads: [items] is a mutable field holding an immutable
-       list, so a racy read sees some recent snapshot — fine at stride *)
-    Array.fold_left (fun t dq -> t + List.length dq.items) 0 ctx.deques
-  in
-  (match ctx.series with
-  | Some s ->
-    Obs.Prof.Series.add s ~ts_ns:(Obs.Prof.now_ns ()) ~nodes:acc.explored
-      ~frontier:(frontier ()) ~cache_hits:acc.cache_hits ~sleep_hits:acc.sleep_pruned
-  | None -> ());
-  match ctx.trace with
-  | Some tr ->
-    Obs.Trace.counter tr ~track:Obs.Coverage.track_covered
-      (float_of_int (Obs.Coverage.num_covered node.config));
-    Obs.Trace.counter tr ~track:Obs.Coverage.track_written
-      (float_of_int (Obs.Coverage.num_written node.config));
-    Obs.Trace.counter tr ~track:"frontier" (float_of_int (frontier ()))
-  | None -> ()
-
-let process ctx cache acc ~id ~push w node =
-  acc.explored <- acc.explored + 1;
-  if node.depth > acc.max_depth then acc.max_depth <- node.depth;
-  let profiling = ctx.profiling in
-  let prof = w.prof in
-  let node =
-    if (not ctx.replay) || node.owner = id then node
-    else begin
-      (* foreign node: rebuild on our own root (journal ownership) *)
-      let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-      let sctx =
-        match ctx.trace with
-        | Some tr ->
-          Some (tr, Obs.Trace.begin_span tr ?parent:ctx.troot ~cat:"dpor" "replay")
-        | None -> None
-      in
-      let config = replay_config ctx ~id node.sched in
-      (match sctx with
-      | Some (tr, c) ->
-        Obs.Trace.end_span tr ~args:[ ("depth", Obs.Json.Int node.depth) ] c
-      | None -> ());
-      if profiling then Obs.Prof.add prof Obs.Prof.Replay (Obs.Prof.now_ns () - t0);
-      { node with config; owner = id }
-    end
-  in
-  if ctx.series <> None || ctx.trace <> None then begin
-    w.until_sample <- w.until_sample - 1;
-    if w.until_sample <= 0 then begin
-      w.until_sample <- sample_stride;
-      sample ctx acc node
-    end
-  end;
-  let config = node.config in
-  let has_input pid inst = Option.is_some (ctx.inputs ~pid ~instance:inst) in
-  let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-  let runnable =
-    List.filter
-      (fun pid -> Config.runnable config ~has_input pid)
-      (List.init (Config.n config) Fun.id)
-  in
-  if profiling then Obs.Prof.add prof Obs.Prof.Footprint (Obs.Prof.now_ns () - t0);
-  let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-  let covered = cache_covers ctx cache node ~remaining:(ctx.bound - node.depth) acc in
-  if profiling then Obs.Prof.add prof Obs.Prof.Cache (Obs.Prof.now_ns () - t0);
-  if covered then ()
-  else
-    let leaf () =
-      acc.leaves <- acc.leaves + 1;
-      let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-      let final =
-        Counterex.complete ~inputs:ctx.inputs ~max_steps:ctx.completion_steps config
-      in
-      let verdict = ctx.check final in
-      if profiling then Obs.Prof.add prof Obs.Prof.Check (Obs.Prof.now_ns () - t0);
-      match verdict with
-      | Ok () -> ()
-      | Error error ->
-        (match ctx.trace with
-        | Some tr ->
-          Obs.Trace.instant tr ~cat:"dpor"
-            ~args:[ ("error", Obs.Json.String error) ]
-            "violation"
-        | None -> ());
-        report ctx { Counterex.schedule = List.rev node.sched; error; config = final }
-    in
-    match runnable with
-    | [] -> leaf ()
-    | _ when node.depth >= ctx.bound -> leaf ()
-    | _ ->
-      let fp pid = Config.footprint config pid in
-      let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-      (* a local (empty-footprint) step is a singleton persistent set *)
-      let ample =
-        match List.find_opt (fun pid -> Program.footprint_is_local (fp pid)) runnable with
-        | Some p -> [ p ]
-        | None -> runnable
-      in
-      let branches = List.filter (fun p -> not (Iset.mem p node.sleep)) ample in
-      if profiling then Obs.Prof.add prof Obs.Prof.Footprint (Obs.Prof.now_ns () - t0);
-      acc.sleep_pruned <- acc.sleep_pruned + (List.length ample - List.length branches);
-      let _, children =
-        List.fold_left
-          (fun (explored_siblings, children) pid ->
-            (* siblings explored before [pid] go to sleep in its
-               subtree, as long as the steps taken commute with theirs *)
-            let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-            let sleep =
-              Iset.filter
-                (fun q ->
-                  Program.independent (fp q) (fp pid)
-                  ||
-                  (* conditional refinement: footprints collide, but the
-                     two poised ops commute to the identical state in
-                     the *current* memory (e.g. equal-value writes, a
-                     no-op write against a read) — sound here precisely
-                     because sleep sets only need commutation at this
-                     node, unlike the persistent ample-set choice *)
-                  match ctx.static_indep with
-                  | None -> false
-                  | Some refine -> (
-                    match
-                      ( Program.poised_op (Config.proc config q),
-                        Program.poised_op (Config.proc config pid) )
-                    with
-                    | Some oq, Some opid
-                      when refine ~mem:(Config.mem config) oq opid ->
-                      acc.refined <- acc.refined + 1;
-                      true
-                    | _ -> false))
-                (Iset.union node.sleep explored_siblings)
-            in
-            if profiling then
-              Obs.Prof.add prof Obs.Prof.Footprint (Obs.Prof.now_ns () - t0);
-            let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-            let config', ev =
-              match Config.proc config pid with
-              | Program.Await _ ->
-                let inst = Config.instance config pid + 1 in
-                Config.invoke config pid (Option.get (ctx.inputs ~pid ~instance:inst))
-              | Program.Stop -> assert false (* not runnable *)
-              | Program.Op _ | Program.Yield _ -> Config.step config pid
-            in
-            if profiling then Obs.Prof.add prof Obs.Prof.Interp (Obs.Prof.now_ns () - t0);
-            let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-            let hash = Statehash.record node.hash ~before:config config' ev in
-            if profiling then Obs.Prof.add prof Obs.Prof.Hash (Obs.Prof.now_ns () - t0);
-            let child =
-              {
-                config = config';
-                hash;
-                depth = node.depth + 1;
-                sched = pid :: node.sched;
-                sleep;
-                owner = id;
-              }
-            in
-            (Iset.add pid explored_siblings, child :: children))
-          (Iset.empty, []) branches
-      in
-      (* children is highest-pid-first; pushing in that order leaves the
-         lowest pid on top of the deque, so DFS visits pids ascending *)
-      List.iter push children
-
-let worker ctx id =
-  let cache = if ctx.use_cache then Some (Hashtbl.create 4096) else None in
-  let acc =
-    {
-      explored = 0;
-      leaves = 0;
-      max_depth = 0;
-      cache_hits = 0;
-      sleep_pruned = 0;
-      refined = 0;
-      steals = 0;
-    }
-  in
-  let w = { prof = Obs.Prof.create (); until_sample = sample_stride } in
-  ctx.doms.(id) <- (Domain.self () :> int);
-  (* the worker's whole lifetime is one span on its own domain's row *)
-  let wspan =
-    match ctx.trace with
-    | Some tr ->
-      Some
-        ( tr,
-          Obs.Trace.begin_span tr ?parent:ctx.troot ~cat:"dpor"
-            ~args:[ ("worker", Obs.Json.Int id) ]
-            (Fmt.str "worker %d" id) )
-    | None -> None
-  in
-  let my = ctx.deques.(id) in
-  let push n =
-    Atomic.incr ctx.pending;
-    push_deque my n
-  in
-  let jobs = Array.length ctx.deques in
-  let profiling = ctx.profiling in
-  let try_steal () =
-    let t0 = if profiling then Obs.Prof.now_ns () else 0 in
-    let rec go i =
-      if i >= jobs then None
+  let commute c { config; _ } =
+    let fp = Array.init (Config.n config) (Config.footprint config) in
+    fun q pid ->
+      if Program.independent fp.(q) fp.(pid) then `Indep
       else
-        let victim = (id + i) mod jobs in
-        match steal_deque ctx.deques.(victim) with
-        | [] -> go (i + 1)
-        | n :: rest ->
-          (* stolen nodes are already counted in [pending] *)
-          List.iter (push_deque my) rest;
-          acc.steals <- acc.steals + 1;
-          (match ctx.trace with
-          | Some tr ->
-            (* the handoff arrow: out on the victim's row, in on ours *)
-            let flow = Obs.Trace.fresh_flow tr in
-            Obs.Trace.instant tr ~cat:"dpor" ~dom:ctx.doms.(victim)
-              ~flow:(flow, `Out)
-              ~args:[ ("thief", Obs.Json.Int id) ]
-              "steal.out";
-            Obs.Trace.instant tr ~cat:"dpor"
-              ~flow:(flow, `In)
-              ~args:
-                [
-                  ("victim", Obs.Json.Int victim);
-                  ("nodes", Obs.Json.Int (1 + List.length rest));
-                  ("depth", Obs.Json.Int n.depth);
-                ]
-              "steal.in"
-          | None -> ());
-          Some n
-    in
-    let r = go 1 in
-    if profiling then Obs.Prof.add w.prof Obs.Prof.Steal (Obs.Prof.now_ns () - t0);
-    r
-  in
-  let rec loop () =
-    if Atomic.get ctx.found <> None then ()
-    else
-      match pop_deque_batch my ctx.batch with
-      | _ :: _ as nodes ->
-        (* every popped node must be drained from [pending], even the
-           ones skipped because a violation landed mid-batch *)
-        List.iter
-          (fun node ->
-            if Atomic.get ctx.found = None then
-              process ctx cache acc ~id ~push w node;
-            Atomic.decr ctx.pending)
-          nodes;
-        loop ()
-      | [] ->
-        if Atomic.get ctx.pending = 0 then ()
-        else begin
-          (match try_steal () with
-          | Some node ->
-            process ctx cache acc ~id ~push w node;
-            Atomic.decr ctx.pending
-          | None -> Domain.cpu_relax ());
-          loop ()
-        end
-  in
-  loop ();
-  (match wspan with
-  | Some (tr, c) ->
-    Obs.Trace.end_span tr
-      ~args:
-        [
-          ("explored", Obs.Json.Int acc.explored);
-          ("leaves", Obs.Json.Int acc.leaves);
-          ("steals", Obs.Json.Int acc.steals);
-        ]
-      c
-  | None -> ());
-  (acc, w.prof)
+        match c.static_indep with
+        | None -> `Dep
+        | Some refine -> (
+          let op p = Program.poised_op (Config.proc config p) in
+          match (op q, op pid) with
+          | Some oq, Some op when refine ~mem:(Config.mem config) oq op -> `Refined
+          | _ -> `Dep)
 
-let merge_stats ~domains accs =
-  Array.fold_left
-    (fun (s : stats) (a : acc) ->
-      {
-        explored = s.explored + a.explored;
-        leaves = s.leaves + a.leaves;
-        max_depth = max s.max_depth a.max_depth;
-        cache_hits = s.cache_hits + a.cache_hits;
-        sleep_pruned = s.sleep_pruned + a.sleep_pruned;
-        refined = s.refined + a.refined;
-        steals = s.steals + a.steals;
-        domains = s.domains;
-      })
-    {
-      explored = 0;
-      leaves = 0;
-      max_depth = 0;
-      cache_hits = 0;
-      sleep_pruned = 0;
-      refined = 0;
-      steals = 0;
-      domains;
-    }
-    accs
+  let step c { config; hash } pid =
+    let t0 = Explore.tick c.prof in
+    let config', ev = move c config pid in
+    Explore.tock c.prof Obs.Prof.Interp t0;
+    let t0 = Explore.tick c.prof in
+    let hash = Statehash.record hash ~before:config config' ev in
+    Explore.tock c.prof Obs.Prof.Hash t0;
+    { config = config'; hash }
 
-(* Merge the final counters into a metrics registry, one counter per
-   stat (per-domain counts were summed above). *)
-let export_metrics m (stats : stats) =
-  let bump name v = Obs.Metrics.Counter.incr ~by:v (Obs.Metrics.counter m name) in
-  bump "explore.nodes" stats.explored;
-  bump "explore.leaves" stats.leaves;
-  bump "explore.cache_hits" stats.cache_hits;
-  bump "explore.sleep_pruned" stats.sleep_pruned;
-  bump "explore.refined" stats.refined;
-  bump "explore.steals" stats.steals;
-  Obs.Metrics.Gauge.set (Obs.Metrics.gauge m "explore.domains") (float_of_int stats.domains)
+  let key c { config; hash } =
+    if c.audit then Kfull (Statehash.full_key hash config) else Kinc (Statehash.key hash)
 
-let explore ~depth ?(cache = true) ?(jobs = 1) ?(batch = 1) ?(key = `Incremental)
+  let release _ _ = ()
+
+  let leaf c { config; _ } =
+    c.check (Counterex.complete ~inputs:c.inputs ~max_steps:c.completion_steps config)
+
+  let tracks { config; _ } =
+    [
+      (Obs.Coverage.track_covered, Obs.Coverage.num_covered config);
+      (Obs.Coverage.track_written, Obs.Coverage.num_written config);
+    ]
+
+  let branch_phase = Some Obs.Prof.Footprint
+end
+
+module E = Explore.Make (Instance)
+
+let explore ~depth ?(cache = true) ?(jobs = 1) ?(key = `Incremental)
     ?(completion_steps = 50_000) ?static_indep ?metrics ?prof ?series ~inputs
     ~check config =
-  if depth < 0 then invalid_arg "Dpor.explore: negative depth";
-  let jobs = max 1 jobs in
-  let batch = max 1 batch in
-  let deques = Array.init jobs (fun _ -> { lock = Mutex.create (); items = [] }) in
-  (* A journaled config can only be touched by the domain that owns its
-     version family; with several domains every worker gets its own
-     unshared root copy (built here, sequentially, before any domain
-     runs) and rebuilds foreign nodes by schedule replay. *)
-  let replay =
-    jobs > 1 && Memory.backend (Config.mem config) = Memory.Journaled
+  let replay = jobs > 1 && Memory.backend (Config.mem config) = Memory.Journaled in
+  let make prof =
+    let root = if replay then Config.unshare config else config in
+    { root; audit = key = `Full; inputs; completion_steps; check; static_indep; prof }
   in
-  let roots =
-    if replay then Array.init jobs (fun _ -> Config.unshare config)
-    else Array.make jobs config
-  in
-  let root =
-    {
-      config;
-      hash = Statehash.create ~audit:(key = `Full) config;
-      depth = 0;
-      sched = [];
-      sleep = Iset.empty;
-      (* in replay mode no domain owns the original root config: whoever
-         pops it rebuilds from its own copy (replay of []) *)
-      owner = (if replay then -1 else 0);
-    }
-  in
-  deques.(0).items <- [ root ];
-  (* capture the ambient collector once: workers must all see the same
-     collector (or none) for the run's lifetime *)
-  let trace = Obs.Trace.attached () in
-  let espan =
-    match trace with
-    | Some tr ->
-      Some
-        (Obs.Trace.begin_span tr ~cat:"dpor"
-           ~args:
-             [
-               ("depth", Obs.Json.Int depth);
-               ("jobs", Obs.Json.Int jobs);
-               ("cache", Obs.Json.Bool cache);
-               ("replay", Obs.Json.Bool replay);
-             ]
-           "explore")
-    | None -> None
-  in
-  let ctx =
-    {
-      bound = depth;
-      batch;
-      completion_steps;
-      inputs;
-      check;
-      use_cache = cache;
-      key_mode = key;
-      static_indep;
-      replay;
-      roots;
-      deques;
-      pending = Atomic.make 1;
-      found = Atomic.make None;
-      trace;
-      troot = espan;
-      doms = Array.make jobs 0;
-      profiling = prof <> None;
-      series;
-    }
-  in
-  let results =
-    if jobs = 1 then [| worker ctx 0 |]
-    else begin
-      let others =
-        Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker ctx (i + 1)))
-      in
-      let mine = worker ctx 0 in
-      Array.append [| mine |] (Array.map Domain.join others)
-    end
-  in
-  let accs = Array.map Stdlib.fst results in
-  let stats = merge_stats ~domains:jobs accs in
-  Option.iter
-    (fun into -> Array.iter (fun (_, p) -> Obs.Prof.merge_into ~into p) results)
-    prof;
-  (match (trace, espan) with
-  | Some tr, Some c ->
-    Obs.Trace.end_span tr
-      ~args:
-        [
-          ("explored", Obs.Json.Int stats.explored);
-          ("leaves", Obs.Json.Int stats.leaves);
-          ("steals", Obs.Json.Int stats.steals);
-        ]
-      c
-  | _ -> ());
-  Option.iter (fun m -> export_metrics m stats) metrics;
-  match Atomic.get ctx.found with
-  | Some ce -> Violation (ce, stats)
-  | None -> Complete stats
+  E.explore ~n:(Config.n config) ~depth ~reduce:true ~cache ~jobs ~batch:1 ~replay ~make
+    ~root:(fun () -> config)
+    ~inputs ~completion_steps ?metrics ?prof ?series ()

@@ -1,27 +1,14 @@
-(** Exploration engine v2: dynamic partial-order reduction, state
-    caching, and multi-domain exploration of the schedule tree.
+(** The interpreter instance of the DPOR core ({!Explore}): states are
+    free-monad configurations with their incremental {!Statehash}.
 
     Explores the same bounded schedule space as
-    {!Modelcheck.exhaustive} but prunes redundant interleavings using
-    the structure of the shared-memory model:
-
-    - {b independence}: two steps of different processes commute when
-      neither writes a register the other touches
-      ({!Shm.Program.independent} over {!Shm.Config.footprint});
-      steps with an empty footprint (invocations, outputs) are
-      singleton persistent sets and are scheduled first;
-    - {b sleep sets}: a branch that merely re-orders independent steps
-      already covered by an earlier sibling is pruned;
-    - {b state caching}: a canonical state key ({!Statehash})
-      deduplicates configurations reached by different schedules, with
-      remaining-depth and sleep-set guards for soundness;
-    - {b parallel domains}: with [jobs > 1] the tree is sharded over
-      OCaml domains with work-stealing deques; caches and counters are
-      domain-local and merged at the end.
-
-    Verdicts are reported as {!Counterex.t}, so violations replay and
-    shrink ({!Shrink}).  Caveats of bounded-depth reduction are
-    documented in [docs/EXPLORATION.md]. *)
+    {!Modelcheck.exhaustive} but prunes redundant interleavings:
+    independence is footprint disjointness ({!Shm.Program.independent}
+    over {!Shm.Config.footprint}), steps with an empty footprint are
+    singleton persistent sets, sleep sets prune re-orderings, and the
+    state cache deduplicates configurations reached by different
+    schedules.  Caveats of bounded-depth reduction are documented in
+    [docs/EXPLORATION.md]. *)
 
 (** State-cache key flavour: the incremental {!Statehash.key} (the
     fast default), or the original full MD5 digest of the canonical
@@ -31,23 +18,6 @@
     collision audit in the test suite. *)
 type key_mode = [ `Incremental | `Full ]
 
-type stats = {
-  explored : int;      (** nodes visited (interior + frontier) *)
-  leaves : int;        (** frontier configurations completed and checked *)
-  max_depth : int;
-  cache_hits : int;    (** nodes short-circuited by the state cache *)
-  sleep_pruned : int;  (** branches pruned by sleep sets *)
-  refined : int;
-      (** sleep retentions granted by [?static_indep] alone (the
-          footprints collided but the refinement proved commutation) *)
-  steals : int;        (** successful steals (work-migration events) *)
-  domains : int;
-}
-
-type outcome = Complete of stats | Violation of Counterex.t * stats
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** [explore ~depth ~inputs ~check config] explores one representative
     schedule per equivalence class, up to [depth] steps, completing
     each frontier configuration deterministically (budget
@@ -55,14 +25,10 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
     [cache] (default [true]) enables state caching; [key] (default
     [`Incremental]) selects the cache-key flavour; [jobs] (default 1)
-    is the number of domains; [batch] (default 1) is the number of
-    nodes popped per deque lock acquisition — larger batches amortize
-    locking and keep sibling configurations cache-warm, at the cost of
-    a slightly broader live frontier (and, on the journaled backend,
-    occasionally longer reroot chains); [metrics], when given,
-    receives the merged [explore.*] counters.  The first violation found wins (with
-    [jobs > 1] which one is found first may vary between runs; whether
-    one exists does not).
+    is the number of domains, each popping one node at a time.  With
+    the journaled memory backend and [jobs > 1], stolen nodes are
+    rebuilt by schedule replay on a per-domain root copy —
+    configurations never cross domains.
 
     [static_indep], when given, refines the sleep-set computation with
     a {e conditional} independence relation: [refine ~mem a b] must
@@ -76,23 +42,16 @@ val pp_outcome : Format.formatter -> outcome -> unit
     dataflow engine; the QCheck commutation property in
     [test/test_analyze.ml] pins the contract.
 
-    Observability (all off by default, zero-cost when absent):
-    [prof] receives the merged per-phase breakdown of where
-    exploration time went ({!Obs.Prof}); [series] receives strided
-    samples of frontier depth / nodes / cache hits / sleep prunes; and
-    if an {!Obs.Trace} collector is attached when [explore] is called,
-    the run emits one span per worker domain, steal-handoff flow
-    arrows, replay spans, and register-coverage counter tracks.
+    [metrics], [prof] and [series] and an attached {!Obs.Trace}
+    collector are fed as described in {!Explore.Make}; the profile
+    attributes [interp], [hash] and [footprint] here, and the trace
+    gets register-coverage counter tracks.
 
-    With the journaled memory backend ({!Shm.Memory.Journaled}) and
-    [jobs > 1], stolen subtrees are rebuilt by deterministic schedule
-    replay on a per-domain root copy — configurations never cross
-    domains (see the journal-ownership note in the implementation). *)
+    Raises [Invalid_argument] for more than 62 processes. *)
 val explore :
   depth:int ->
   ?cache:bool ->
   ?jobs:int ->
-  ?batch:int ->
   ?key:key_mode ->
   ?completion_steps:int ->
   ?static_indep:(mem:Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool) ->
@@ -102,4 +61,4 @@ val explore :
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   check:(Shm.Config.t -> (unit, string) result) ->
   Shm.Config.t ->
-  outcome
+  Explore.outcome

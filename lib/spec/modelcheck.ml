@@ -15,10 +15,12 @@
      enumeration of every schedule — n^depth nodes, the reference
      semantics, and the engine whose counterexamples are
      lexicographically first;
-   - [Dpor] (Spec.Dpor): partial-order reduction + state caching +
-     optional parallel domains — orders of magnitude fewer nodes, same
-     class coverage (see docs/EXPLORATION.md for the bounded-depth
-     caveat).
+   - [Dpor]: partial-order reduction + state caching + optional
+     parallel domains — orders of magnitude fewer nodes, same class
+     coverage (see docs/EXPLORATION.md for the bounded-depth caveat).
+     One core (Spec.Explore) runs it over two state instances: the
+     interpreter (Spec.Dpor, [run]) and the bytecode vm
+     (Spec.Vmexplore, [run_vm]).
 
    For small n the naive engine is a proof (up to the depth bound)
    rather than a sample, and it finds minimal counterexample schedules,
@@ -26,31 +28,9 @@
 
 open Shm
 
-type stats = {
-  explored : int;        (* interior nodes visited *)
-  leaves : int;          (* frontier configurations checked *)
-  max_depth : int;
-  cache_hits : int;      (* Dpor only: nodes short-circuited by the cache *)
-  pruned : int;          (* Dpor only: branches pruned by sleep sets *)
-  steals : int;          (* Dpor only: work-stealing migrations *)
-}
-
-type outcome =
-  | Ok_bounded of stats
-  | Counterexample of {
-      schedule : int list;  (* pids, in step order, up to the frontier *)
-      error : string;
-      config : Config.t;
-      stats : stats;
-    }
-
-let pp_outcome ppf = function
-  | Ok_bounded { explored; leaves; _ } ->
-    Fmt.pf ppf "no violation (%d nodes, %d completions checked)" explored leaves
-  | Counterexample { schedule; error; _ } ->
-    Fmt.pf ppf "counterexample schedule [%a]: %s"
-      Fmt.(list ~sep:comma int)
-      schedule error
+(* [stats], [outcome], [pp_outcome] and [stats_of] are the DPOR core's;
+   the interface re-exports exactly those. *)
+include Explore
 
 (* Extract the counterexample as the common currency of the stack, for
    shrinking and replay. *)
@@ -58,9 +38,6 @@ let counterex_of = function
   | Ok_bounded _ -> None
   | Counterexample { schedule; error; config; _ } ->
     Some { Counterex.schedule; error; config }
-
-(* Drive [config] to quiescence deterministically (solo bursts). *)
-let complete ~inputs ~max_steps config = Counterex.complete ~inputs ~max_steps config
 
 (* [exhaustive ~depth ~inputs ~check config] explores every schedule of
    length ≤ depth, completes each frontier, and applies [check].  Stops
@@ -71,7 +48,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
   let exception Found of int list * string * Config.t in
   let check_leaf schedule config =
     incr leaves;
-    let final = complete ~inputs ~max_steps:completion_steps config in
+    let final = Counterex.complete ~inputs ~max_steps:completion_steps config in
     match check final with
     | Ok () -> ()
     | Error e -> raise (Found (List.rev schedule, e, final))
@@ -101,7 +78,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
   in
   let stats () =
     { explored = !explored; leaves = !leaves; max_depth = !deepest;
-      cache_hits = 0; pruned = 0; steals = 0 }
+      cache_hits = 0; pruned = 0; refined = 0; steals = 0; batches = 0; domains = 1 }
   in
   try
     go config 0 [];
@@ -120,86 +97,30 @@ let engine_name = function
       (if cache then "+cache" else "")
       (if jobs > 1 then Fmt.str " (%d domains)" jobs else "")
 
-(* Export an outcome's counters into a metrics registry, same names as
-   Dpor.explore uses (so --stats output is uniform across engines). *)
-let export_metrics m (stats : stats) =
-  let bump name v = Obs.Metrics.Counter.incr ~by:v (Obs.Metrics.counter m name) in
-  bump "explore.nodes" stats.explored;
-  bump "explore.leaves" stats.leaves;
-  bump "explore.cache_hits" stats.cache_hits;
-  bump "explore.sleep_pruned" stats.pruned
-
-let stats_of = function Ok_bounded s -> s | Counterexample { stats; _ } -> stats
-
 let run ~engine ~depth ?key ~inputs ?completion_steps ?static_indep ?metrics
     ?prof ?series ~check config =
   match engine with
   | Naive ->
     let out = exhaustive ~depth ~inputs ?completion_steps ~check config in
-    Option.iter (fun m -> export_metrics m (stats_of out)) metrics;
+    Option.iter (fun m -> Explore.export_metrics m (stats_of out)) metrics;
     out
-  | Dpor { cache; jobs } -> (
-    let to_stats (s : Dpor.stats) =
-      {
-        explored = s.Dpor.explored;
-        leaves = s.Dpor.leaves;
-        max_depth = s.Dpor.max_depth;
-        cache_hits = s.Dpor.cache_hits;
-        pruned = s.Dpor.sleep_pruned;
-        steals = s.Dpor.steals;
-      }
-    in
-    match
-      Dpor.explore ~depth ~cache ~jobs ?key ?completion_steps ?static_indep
-        ?metrics ?prof ?series ~inputs ~check config
-    with
-    | Dpor.Complete s -> Ok_bounded (to_stats s)
-    | Dpor.Violation (ce, s) ->
-      Counterexample
-        {
-          schedule = ce.Counterex.schedule;
-          error = ce.Counterex.error;
-          config = ce.Counterex.config;
-          stats = to_stats s;
-        })
+  | Dpor { cache; jobs } ->
+    Dpor.explore ~depth ~cache ~jobs ?key ?completion_steps ?static_indep ?metrics
+      ?prof ?series ~inputs ~check config
 
 (* ---- the same front door over the bytecode engine ---- *)
 
 (* [run_vm] is [run] for first-order protocols executed by [Shm.Vm]:
-   [Naive] maps to Vmexplore with the reduction off (literal schedule
-   enumeration, the reference), [Dpor {cache; jobs}] to the reduced
-   engine.  The check is applied to decoded i/o records
-   (Properties.check_safety_io fits directly); outcomes and metric
-   names match [run], so callers switch engines without reshaping
-   results. *)
+   [Naive] maps to the vm instance with the reduction off (literal
+   schedule enumeration, the reference), [Dpor {cache; jobs}] to the
+   reduced engine.  The check is applied to decoded i/o records
+   (Properties.check_safety_io fits directly). *)
 let run_vm ~engine ~depth ?batch ?rounds ?completion_steps ?metrics ?prof
     ?series ~inputs ~check p =
-  let to_stats (s : Vmexplore.stats) =
-    {
-      explored = s.Vmexplore.explored;
-      leaves = s.Vmexplore.leaves;
-      max_depth = s.Vmexplore.max_depth;
-      cache_hits = s.Vmexplore.cache_hits;
-      pruned = s.Vmexplore.sleep_pruned;
-      steals = 0;  (* the vm engine splits statically: no stealing *)
-    }
-  in
-  let outcome =
+  let reduce, cache, jobs =
     match engine with
-    | Naive ->
-      Vmexplore.explore ~depth ~reduce:false ~cache:false ~jobs:1 ?batch
-        ?rounds ?completion_steps ?metrics ?prof ?series ~inputs ~check p
-    | Dpor { cache; jobs } ->
-      Vmexplore.explore ~depth ~reduce:true ~cache ~jobs ?batch ?rounds
-        ?completion_steps ?metrics ?prof ?series ~inputs ~check p
+    | Naive -> (false, false, 1)
+    | Dpor { cache; jobs } -> (true, cache, jobs)
   in
-  match outcome with
-  | Vmexplore.Complete s -> Ok_bounded (to_stats s)
-  | Vmexplore.Violation (ce, s) ->
-    Counterexample
-      {
-        schedule = ce.Counterex.schedule;
-        error = ce.Counterex.error;
-        config = ce.Counterex.config;
-        stats = to_stats s;
-      }
+  Vmexplore.explore ~depth ~reduce ~cache ~jobs ?batch ?rounds ?completion_steps
+    ?metrics ?prof ?series ~inputs ~check p

@@ -8,19 +8,24 @@
     than a sample, with minimal counterexample schedules.
 
     {!exhaustive} is the reference engine (literal enumeration);
-    {!run} additionally dispatches to the reduced engine {!Dpor}
-    (partial-order reduction + state caching + parallel domains). *)
+    {!run} additionally dispatches to the DPOR core ({!Explore}:
+    partial-order reduction + state caching + parallel domains) over
+    interpreter configurations ({!Dpor}), and {!run_vm} over
+    bytecode-vm states ({!Vmexplore}). *)
 
-type stats = {
+type stats = Explore.stats = {
   explored : int;    (** interior nodes visited *)
   leaves : int;      (** frontier configurations checked *)
   max_depth : int;
   cache_hits : int;  (** [Dpor] engine only; 0 for [Naive] *)
   pruned : int;      (** [Dpor] engine only; 0 for [Naive] *)
+  refined : int;     (** interpreter [Dpor] with [?static_indep] only *)
   steals : int;      (** [Dpor] engine only; 0 for [Naive] *)
+  batches : int;     (** frontier pops of the DPOR core; 0 for {!exhaustive} *)
+  domains : int;
 }
 
-type outcome =
+type outcome = Explore.outcome =
   | Ok_bounded of stats
   | Counterexample of {
       schedule : int list;  (** pids, in step order, up to the frontier *)
@@ -34,14 +39,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** The counterexample (if any) as the stack's common currency, ready
     for {!Counterex.replay} and {!Shrink.minimize}. *)
 val counterex_of : outcome -> Counterex.t option
-
-(** Drive a configuration to quiescence deterministically
-    (= {!Counterex.complete}). *)
-val complete :
-  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
-  max_steps:int ->
-  Shm.Config.t ->
-  Shm.Config.t
 
 (** [exhaustive ~depth ~inputs ~check config] explores every schedule
     of length ≤ depth, completes each frontier (budget
@@ -61,7 +58,7 @@ type engine =
   | Naive  (** literal enumeration — the reference semantics *)
   | Dpor of { cache : bool; jobs : int }
       (** partial-order reduction, optional state caching, [jobs]
-          domains (see {!Dpor.explore}) *)
+          domains (see {!Explore.Make}) *)
 
 val engine_name : engine -> string
 
@@ -70,13 +67,13 @@ val stats_of : outcome -> stats
 (** [run ~engine …] checks with the chosen engine; same contract and
     outcome type as {!exhaustive}.  When [metrics] is given, the final
     counters are exported into it under [explore.*] names (both
-    engines).  [key] selects the {!Dpor} cache-key flavour (default
-    [`Incremental]; ignored by [Naive]).  [static_indep] threads the
-    conditional-independence refinement through to {!Dpor.explore}
-    (ignored by [Naive], whose enumeration is the reference
-    semantics).  [prof] and [series] thread through to {!Dpor.explore}
-    (phase breakdown and exploration time series; ignored by
-    [Naive]). *)
+    engines, {!Explore.export_metrics}).  [key], [static_indep], [prof]
+    and [series] thread through to {!Dpor.explore} and are ignored by
+    [Naive], whose enumeration is the reference semantics: [key]
+    selects the cache-key flavour (default [`Incremental]),
+    [static_indep] the conditional-independence refinement.  The
+    [Dpor] engine raises [Invalid_argument] for more than 62
+    processes. *)
 val run :
   engine:engine ->
   depth:int ->
@@ -93,14 +90,15 @@ val run :
 
 (** [run_vm ~engine …] is {!run} over the bytecode engine
     ({!Shm.Vm} / {!Vmexplore}) for first-order protocols: [Naive]
-    enumerates every schedule with the reduction off, [Dpor] applies
-    the reduction ([cache], [jobs] as for the interpreter engine; the
-    vm splits work statically, so [stats.steals] is always 0).
-    [check] sees the decoded i/o records —
-    {!Properties.check_safety_io} fits directly.  [batch] is the
-    frontier batch size (default 8), [rounds] the invocations per
-    process (default 1).  Metric names match {!run}, plus
-    [explore.batches] and [explore.arena_hwm_words]. *)
+    enumerates every schedule with the reduction off ([reduce:false],
+    one domain), [Dpor] applies the reduction ([cache], [jobs] as for
+    the interpreter engine; the worker domains steal from each other,
+    so [stats.steals] counts migrations here too).  [key] and
+    [static_indep] apply to the interpreter only.  [check] sees the
+    decoded i/o records — {!Properties.check_safety_io} fits directly.
+    [batch] is the frontier batch size (default 8), [rounds] the
+    invocations per process (default 1).  Metric names match {!run}.
+    Raises [Invalid_argument] for more than 62 processes. *)
 val run_vm :
   engine:engine ->
   depth:int ->

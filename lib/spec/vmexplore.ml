@@ -1,80 +1,49 @@
-(* Exploration engine v3: DPOR over bytecode-compiled protocols, with
-   batched frontier expansion over contiguous arenas.
+(* The bytecode-vm instance of the DPOR core (Spec.Explore): states are
+   slots of a per-worker int arena holding [Shm.Vm] machine states.
 
-   Same reduction as [Dpor] — singleton ample sets for local steps,
-   sleep sets, state caching with remaining-depth and sleep-subset
-   guards — but over [Shm.Vm] states instead of [Config.t] values:
-
-   - a configuration is a fixed-size slice of a flat int arena, so a
-     child node is one [Array.blit] plus one in-place [Vm.step] — no
+   - a child is one [Array.blit] plus one in-place [Vm.step] — no
      closure dispatch, no persistent-structure rebuild, no per-node
      Value allocation;
-   - the state key is read off the slice ([Vm.key] is maintained
-     incrementally inside [Vm.step], hashing the machine state
-     itself), so cache lookups cost four loads and a table probe;
-   - sleep sets are int bitmasks (hence the n ≤ 62 limit — far above
-     any tractable exploration width);
-   - the frontier is expanded in batches of [batch] nodes per pass:
-     children of a batch are bump-allocated consecutively in the
-     arena, so the next pass walks contiguous memory instead of
-     pointer-chasing heap configurations ([Obs.Prof.Vm_batch]
-     attributes the bookkeeping; [arena_hwm_words] reports the peak
-     footprint);
-   - with [jobs > 1] the root is expanded breadth-first until the
-     frontier feeds every domain, then each domain explores its share
-     on a private arena — snapshots are plain ints, so handing a
-     subtree to a domain is a blit at spawn time and workers never
-     share mutable state (no steal traffic, no shared-heap writes on
-     the hot path; the static split is the trade-off, documented in
-     docs/PERFORMANCE.md).
+   - the state key is read off the slot ([Vm.key] is maintained
+     incrementally inside [Vm.step], hashing the machine state itself),
+     so cache lookups cost four loads and a table probe;
+   - the core pops the frontier in batches of [batch] nodes, so the
+     children of a batch are bump-allocated consecutively and the next
+     pass walks contiguous memory ([Obs.Prof.Vm_batch] attributes the
+     copying, [Obs.Prof.Vm_step] the stepping);
+   - arenas never cross domains: with [jobs > 1] a thief replays a
+     stolen schedule into its own arena and the victim frees the slot.
 
-   Reduction-off mode ([reduce:false]) is the literal enumeration of
-   every schedule — the vm's analogue of [Modelcheck.exhaustive] and
-   the naive arm of the vm-vs-interp differentials.
-
-   Counterexamples are reported as [Counterex.t]: the violating
-   schedule is replayed through the free-monad interpreter, so the
-   artifact that reaches the shrinker and the CLI is engine-neutral
-   (and independently re-executes the vm's claim). *)
+   With [reduce:false] the core enumerates every schedule — the vm's
+   analogue of [Modelcheck.exhaustive] and the naive arm of the
+   vm-vs-interp differentials.  Violations are replayed through the
+   free-monad interpreter by the core, so every counterexample that
+   leaves this module has been re-executed by the reference engine. *)
 
 open Shm
 
-type stats = {
-  explored : int;
-  leaves : int;
-  max_depth : int;
-  cache_hits : int;
-  sleep_pruned : int;
-  batches : int;
-  arena_hwm_words : int;
-  domains : int;
-}
-
-type outcome = Complete of stats | Violation of Counterex.t * stats
-
-let pp_outcome ppf = function
-  | Complete { explored; leaves; cache_hits; sleep_pruned; _ } ->
-    Fmt.pf ppf "no violation (%d nodes, %d completions checked, %d cache hits, %d sleep-pruned)"
-      explored leaves cache_hits sleep_pruned
-  | Violation (ce, { explored; _ }) ->
-    Fmt.pf ppf "counterexample after %d nodes — %a" explored Counterex.pp ce
-
-(* ------------------------------------------------------------------ *)
-(* Arena: slots of [words] ints, bump-allocated with a free list.
-   Doubling keeps slot ids stable (ids index slots, not bytes). *)
-
+(* Slots of [words] ints, bump-allocated with a free list.  Doubling
+   keeps slot ids stable (ids index slots, not bytes). *)
 type arena = {
   words : int;
   mutable buf : int array;
   mutable cap : int;  (* capacity, in slots *)
   mutable top : int;  (* bump pointer, in slots *)
   mutable free : int list;
-  mutable hwm : int;  (* peak live slots *)
 }
 
-let arena_create ~words ~slots =
-  { words; buf = Array.make (max 1 (words * slots)) 0; cap = slots; top = 0;
-    free = []; hwm = 0 }
+type ctx = {
+  e : Vm.env;
+  a : arena;
+  n : int;
+  scratch : int array;  (* one completion slice, reused per leaf *)
+  completion_steps : int;
+  check :
+    inputs:(int * int * Value.t) list ->
+    outputs:(int * int * Value.t) list ->
+    (unit, string) result;
+  prof : Obs.Prof.t option;
+}
 
 let alloc a =
   match a.free with
@@ -89,92 +58,8 @@ let alloc a =
       a.buf <- buf;
       a.cap <- cap
     end;
-    let s = a.top in
-    a.top <- s + 1;
-    if s + 1 > a.hwm then a.hwm <- s + 1;
-    s
-
-let release a s = a.free <- s :: a.free
-let base a s = s * a.words
-
-(* ------------------------------------------------------------------ *)
-
-type node = {
-  slot : int;
-  depth : int;
-  sched : int list;  (* reversed; tails shared along each branch *)
-  sleep : int;  (* bitmask of pids whose branches are covered elsewhere *)
-}
-
-(* Footprint triples from [Vm.poised_footprint]: (reads_off, reads_len,
-   write_reg), -1 for none.  Independent iff neither writes a register
-   the other touches — [Shm.Program.independent] on int triples. *)
-let touches (ro, rl, w) r = (r >= ro && r < ro + rl) || r = w
-
-let indep a b =
-  let _, _, aw = a and _, _, bw = b in
-  (aw = -1 || not (touches b aw)) && (bw = -1 || not (touches a bw))
-
-type wctx = {
-  e : Vm.env;
-  a : arena;
-  bound : int;
-  reduce : bool;
-  batch : int;
-  completion_steps : int;
-  cache : (Vm.key, (int * int) list) Hashtbl.t option;
-  scratch : int array;  (* one completion slice, reused per leaf *)
-  n : int;
-  check : inputs:(int * int * Value.t) list ->
-          outputs:(int * int * Value.t) list ->
-          (unit, string) result;
-  found : (int list * string) option Atomic.t;  (* first violation wins *)
-  prof : Obs.Prof.t;
-  profiling : bool;
-  series : Obs.Prof.Series.t option;
-  mutable until_sample : int;
-  mutable stack : node list;
-  mutable frontier : int;
-  mutable explored : int;
-  mutable leaves : int;
-  mutable max_depth : int;
-  mutable cache_hits : int;
-  mutable sleep_pruned : int;
-  mutable batches : int;
-}
-
-let sample_stride = 64
-
-let sample ctx =
-  match ctx.series with
-  | None -> ()
-  | Some s ->
-    Obs.Prof.Series.add s ~ts_ns:(Obs.Prof.now_ns ()) ~nodes:ctx.explored
-      ~frontier:ctx.frontier ~cache_hits:ctx.cache_hits ~sleep_hits:ctx.sleep_pruned
-
-(* Same policy as [Dpor.cache_covers]: a node is covered iff some
-   previous visit of the same key had at least our remaining budget
-   and a sleep set no larger than ours; at most 8 entries per key. *)
-let cache_covers ctx node key =
-  match ctx.cache with
-  | None -> false
-  | Some tbl ->
-    let remaining = ctx.bound - node.depth in
-    let entries = try Hashtbl.find tbl key with Not_found -> [] in
-    if
-      List.exists
-        (fun (r, sl) -> r >= remaining && sl land lnot node.sleep = 0)
-        entries
-    then true
-    else begin
-      let entries = (remaining, node.sleep) :: entries in
-      let entries =
-        if List.length entries > 8 then List.filteri (fun i _ -> i < 8) entries
-        else entries
-      in
-      Hashtbl.replace tbl key entries;
-      false
-    end
+    a.top <- a.top + 1;
+    a.top - 1
 
 (* [Counterex.complete]'s rule (quantum round-robin, q = 2000) with a
    constant name — [Schedule.quantum_round_robin]'s name is formatted
@@ -203,307 +88,87 @@ let completion_sched n =
   in
   { Schedule.name = "completion"; next }
 
-let leaf ctx node =
-  ctx.leaves <- ctx.leaves + 1;
-  let t0 = if ctx.profiling then Obs.Prof.now_ns () else 0 in
-  (* with no completion budget the frontier state is final as-is:
-     skip the copy and the schedule and snapshot the slice in place *)
-  let st, b =
-    if ctx.completion_steps = 0 then (ctx.a.buf, base ctx.a node.slot)
-    else begin
-      Array.blit ctx.a.buf (base ctx.a node.slot) ctx.scratch 0 ctx.a.words;
-      let _, _ =
-        Vm.drive ctx.e ctx.scratch 0
-          ~sched:(completion_sched ctx.n)
-          ~max_steps:ctx.completion_steps
-      in
-      (ctx.scratch, 0)
-    end
-  in
-  let fin = Vm.snapshot ctx.e st b in
-  let verdict = ctx.check ~inputs:fin.Vm.inputs ~outputs:fin.Vm.outputs in
-  if ctx.profiling then Obs.Prof.add ctx.prof Obs.Prof.Check (Obs.Prof.now_ns () - t0);
-  match verdict with
-  | Ok () -> ()
-  | Error error ->
-    (* first violation wins; with jobs > 1 which one is first may vary
-       between runs, whether one exists does not *)
-    ignore
-      (Atomic.compare_and_set ctx.found None (Some (List.rev node.sched, error)))
+(* Footprint triples from [Vm.poised_footprint]: (reads_off, reads_len,
+   write_reg), -1 for none.  Independent iff neither writes a register
+   the other touches — [Shm.Program.independent] on int triples. *)
+let touches (ro, rl, w) r = (r >= ro && r < ro + rl) || r = w
 
-let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
+let indep a b =
+  let _, _, aw = a and _, _, bw = b in
+  (aw = -1 || not (touches b aw)) && (bw = -1 || not (touches a bw))
 
-(* Expand one node: cache check, leaf check, else push its branches.
-   [push] lets the sequential DFS phase and the parallel seed phase
-   share the expansion logic. *)
-let expand ctx ~push node =
-  ctx.explored <- ctx.explored + 1;
-  if node.depth > ctx.max_depth then ctx.max_depth <- node.depth;
-  ctx.until_sample <- ctx.until_sample - 1;
-  if ctx.until_sample <= 0 then begin
-    ctx.until_sample <- sample_stride;
-    sample ctx
-  end;
-  let e = ctx.e and a = ctx.a in
-  let st = a.buf and b = base a node.slot in
-  let t0 = if ctx.profiling then Obs.Prof.now_ns () else 0 in
-  let covered = ctx.reduce && cache_covers ctx node (Vm.key e st b) in
-  if ctx.profiling then Obs.Prof.add ctx.prof Obs.Prof.Cache (Obs.Prof.now_ns () - t0);
-  if covered then begin
-    ctx.cache_hits <- ctx.cache_hits + 1;
-    release a node.slot
-  end
-  else begin
-    let rmask = ref 0 in
-    for pid = ctx.n - 1 downto 0 do
-      if Vm.runnable e st b pid then rmask := (!rmask lsl 1) lor 1
-      else rmask := !rmask lsl 1
+module Instance = struct
+  type nonrec ctx = ctx
+  type state = int
+  type key = Vm.key
+
+  let base c s = s * c.a.words
+
+  let replay c sched =
+    let s = alloc c.a in
+    Vm.init c.e c.a.buf (base c s);
+    List.iter (fun pid -> Vm.step c.e c.a.buf (base c s) pid) sched;
+    s
+
+  let runnable c s =
+    let m = ref 0 in
+    for pid = c.n - 1 downto 0 do
+      m := (!m lsl 1) lor Bool.to_int (Vm.runnable c.e c.a.buf (base c s) pid)
     done;
-    if !rmask = 0 || node.depth >= ctx.bound then begin
-      leaf ctx node;
-      release a node.slot
-    end
-    else begin
-      (* a local (invoke/decide) step is a singleton persistent set *)
-      let ample =
-        if not ctx.reduce then !rmask
-        else begin
-          let local = ref (-1) in
-          let pid = ref 0 in
-          while !local < 0 && !pid < ctx.n do
-            if !rmask land (1 lsl !pid) <> 0 && Vm.poised_local e st b !pid then
-              local := !pid;
-            incr pid
-          done;
-          if !local >= 0 then 1 lsl !local else !rmask
-        end
-      in
-      let branches =
-        if ctx.reduce then ample land lnot node.sleep else ample
-      in
-      if ctx.reduce then
-        ctx.sleep_pruned <- ctx.sleep_pruned + popcount (ample land node.sleep);
-      if branches = 0 then release a node.slot
+    !m
+
+  let local c s pid = Vm.poised_local c.e c.a.buf (base c s) pid
+
+  let commute c s =
+    let fps = Array.init c.n (Vm.poised_footprint c.e c.a.buf (base c s)) in
+    fun q pid -> if indep fps.(q) fps.(pid) then `Indep else `Dep
+
+  let step c s pid =
+    let t0 = Explore.tick c.prof in
+    let child = alloc c.a in
+    (* [alloc] may have replaced [c.a.buf]; address it afresh *)
+    Array.blit c.a.buf (base c s) c.a.buf (base c child) c.a.words;
+    Explore.tock c.prof Obs.Prof.Vm_batch t0;
+    let t0 = Explore.tick c.prof in
+    Vm.step c.e c.a.buf (base c child) pid;
+    Explore.tock c.prof Obs.Prof.Vm_step t0;
+    child
+
+  let key c s = Vm.key c.e c.a.buf (base c s)
+  let release c s = c.a.free <- s :: c.a.free
+
+  let leaf c s =
+    (* with no completion budget the frontier state is final as-is:
+       skip the copy and the schedule and snapshot the slot in place *)
+    let st, b =
+      if c.completion_steps = 0 then (c.a.buf, base c s)
       else begin
-        (* footprints of every poised step, read off the parent slice
-           *before* any child allocation (growing the arena swaps
-           buffers under us) *)
-        let fps = Array.init ctx.n (fun pid -> Vm.poised_footprint e st b pid) in
-        let explored_siblings = ref 0 in
-        let children = ref [] in
-        for pid = 0 to ctx.n - 1 do
-          if branches land (1 lsl pid) <> 0 then begin
-            (* siblings explored before [pid] sleep in its subtree as
-               long as their poised steps commute with [pid]'s *)
-            let sleep =
-              if not ctx.reduce then 0
-              else begin
-                let cand = node.sleep lor !explored_siblings in
-                let kept = ref 0 in
-                for q = 0 to ctx.n - 1 do
-                  if cand land (1 lsl q) <> 0 && indep fps.(q) fps.(pid) then
-                    kept := !kept lor (1 lsl q)
-                done;
-                !kept
-              end
-            in
-            let t0 = if ctx.profiling then Obs.Prof.now_ns () else 0 in
-            let slot = alloc a in
-            (* [alloc] may have replaced [a.buf]; address it afresh *)
-            Array.blit a.buf (base a node.slot) a.buf (base a slot) a.words;
-            if ctx.profiling then
-              Obs.Prof.add ctx.prof Obs.Prof.Vm_batch (Obs.Prof.now_ns () - t0);
-            let t0 = if ctx.profiling then Obs.Prof.now_ns () else 0 in
-            Vm.step e a.buf (base a slot) pid;
-            if ctx.profiling then
-              Obs.Prof.add ctx.prof Obs.Prof.Vm_step (Obs.Prof.now_ns () - t0);
-            children :=
-              { slot; depth = node.depth + 1; sched = pid :: node.sched; sleep }
-              :: !children;
-            explored_siblings := !explored_siblings lor (1 lsl pid)
-          end
-        done;
-        (* consing left the highest pid at the head, so pushing in list
-           order leaves the lowest pid on top of the stack: DFS visits
-           pids ascending, matching Dpor *)
-        List.iter push !children;
-        release a node.slot
+        Array.blit c.a.buf (base c s) c.scratch 0 c.a.words;
+        ignore
+          (Vm.drive c.e c.scratch 0 ~sched:(completion_sched c.n)
+             ~max_steps:c.completion_steps);
+        (c.scratch, 0)
       end
-    end
-  end
+    in
+    let fin = Vm.snapshot c.e st b in
+    c.check ~inputs:fin.Vm.inputs ~outputs:fin.Vm.outputs
 
-(* Depth-first batched drain: pop up to [batch] nodes per pass, expand
-   each, push children (bump-allocated consecutively).  Stops early
-   when some worker reported a violation. *)
-let drain ctx =
-  let push n =
-    ctx.stack <- n :: ctx.stack;
-    ctx.frontier <- ctx.frontier + 1
-  in
-  let rec pop_batch k acc =
-    if k = 0 then acc
-    else
-      match ctx.stack with
-      | [] -> acc
-      | n :: tl ->
-        ctx.stack <- tl;
-        ctx.frontier <- ctx.frontier - 1;
-        pop_batch (k - 1) (n :: acc)
-  in
-  let rec go () =
-    if Atomic.get ctx.found <> None then ()
-    else
-      match pop_batch ctx.batch [] with
-      | [] -> ()
-      | ns ->
-        ctx.batches <- ctx.batches + 1;
-        (* [pop_batch] reverses: ns is oldest-popped last, i.e. the
-           stack top is processed first, keeping DFS order *)
-        List.iter (expand ctx ~push) (List.rev ns);
-        go ()
-  in
-  go ()
+  let tracks _ = []
+  let branch_phase = None
+end
 
-let mk_ctx ~e ~bound ~reduce ~batch ~cache ~completion_steps ~check ~found
-    ~profiling ~series ~slots =
-  let words = Vm.state_words e in
-  let n = (Vm.proto_env e).Vm.n in
-  {
-    e;
-    a = arena_create ~words ~slots;
-    bound;
-    reduce;
-    batch;
-    completion_steps;
-    cache = (if cache && reduce then Some (Hashtbl.create 1024) else None);
-    scratch = Array.make words 0;
-    n;
-    check;
-    found;
-    prof = Obs.Prof.create ();
-    profiling;
-    series;
-    until_sample = sample_stride;
-    stack = [];
-    frontier = 0;
-    explored = 0;
-    leaves = 0;
-    max_depth = 0;
-    cache_hits = 0;
-    sleep_pruned = 0;
-    batches = 0;
-  }
+module E = Explore.Make (Instance)
 
 let explore ~depth ?(reduce = true) ?(cache = true) ?(jobs = 1) ?(batch = 8)
     ?(rounds = 1) ?(completion_steps = 50_000) ?metrics ?prof ?series ~inputs
     ~check (p : Vm.proto) =
-  if p.Vm.n > 62 then
-    invalid_arg "Vmexplore.explore: more than 62 processes (sleep sets are int masks)";
   let e = Vm.env ~rounds (Vm.compile p) ~inputs in
-  let found = Atomic.make None in
-  let profiling = prof <> None in
-  let mk ~slots =
-    mk_ctx ~e ~bound:depth ~reduce ~batch ~cache ~completion_steps ~check
-      ~found ~profiling ~series ~slots
+  let words = Vm.state_words e in
+  let make prof =
+    let buf = Array.make (max 1 (256 * words)) 0 in
+    let a = { words; buf; cap = 256; top = 0; free = [] } in
+    { e; a; n = p.Vm.n; scratch = Array.make words 0; completion_steps; check; prof }
   in
-  let root ctx =
-    let slot = alloc ctx.a in
-    Vm.init e ctx.a.buf (base ctx.a slot);
-    { slot; depth = 0; sched = []; sleep = 0 }
-  in
-  let ctxs =
-    if jobs <= 1 then begin
-      let ctx = mk ~slots:256 in
-      ctx.stack <- [ root ctx ];
-      ctx.frontier <- 1;
-      drain ctx;
-      [ ctx ]
-    end
-    else begin
-      (* Phase 1: breadth-first until the frontier feeds every domain.
-         FIFO order keeps the seed frontier shallow and balanced. *)
-      let seed = mk ~slots:256 in
-      let q = Queue.create () in
-      Queue.add (root seed) q;
-      let target = jobs * 4 in
-      while
-        Queue.length q > 0
-        && Queue.length q < target
-        && Atomic.get found = None
-      do
-        expand seed ~push:(fun n -> Queue.add n q) (Queue.pop q)
-      done;
-      (* Phase 2: split the frontier round-robin; each domain copies
-         its share into a private arena and explores independently. *)
-      let shares = Array.make jobs [] in
-      let i = ref 0 in
-      Queue.iter
-        (fun n ->
-          shares.(!i mod jobs) <- n :: shares.(!i mod jobs);
-          incr i)
-        q;
-      let workers =
-        Array.to_list shares
-        |> List.filter (fun share -> share <> [])
-        |> List.map (fun share ->
-               let snaps =
-                 List.map
-                   (fun n ->
-                     let s = Array.make seed.a.words 0 in
-                     Array.blit seed.a.buf (base seed.a n.slot) s 0 seed.a.words;
-                     (n, s))
-                   share
-               in
-               Domain.spawn (fun () ->
-                   let ctx = mk ~slots:(max 256 (List.length snaps * 2)) in
-                   List.iter
-                     (fun (n, s) ->
-                       let slot = alloc ctx.a in
-                       Array.blit s 0 ctx.a.buf (base ctx.a slot) ctx.a.words;
-                       ctx.stack <- { n with slot } :: ctx.stack;
-                       ctx.frontier <- ctx.frontier + 1)
-                     snaps;
-                   drain ctx;
-                   ctx))
-      in
-      seed :: List.map Domain.join workers
-    end
-  in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 ctxs in
-  let stats =
-    {
-      explored = sum (fun c -> c.explored);
-      leaves = sum (fun c -> c.leaves);
-      max_depth = List.fold_left (fun acc c -> max acc c.max_depth) 0 ctxs;
-      cache_hits = sum (fun c -> c.cache_hits);
-      sleep_pruned = sum (fun c -> c.sleep_pruned);
-      batches = sum (fun c -> c.batches);
-      arena_hwm_words = sum (fun c -> c.a.hwm * c.a.words);
-      domains = max 1 jobs;
-    }
-  in
-  Option.iter
-    (fun into -> List.iter (fun c -> Obs.Prof.merge_into ~into c.prof) ctxs)
-    prof;
-  Option.iter
-    (fun m ->
-      let bump name v = Obs.Metrics.Counter.incr ~by:v (Obs.Metrics.counter m name) in
-      bump "explore.nodes" stats.explored;
-      bump "explore.leaves" stats.leaves;
-      bump "explore.cache_hits" stats.cache_hits;
-      bump "explore.sleep_pruned" stats.sleep_pruned;
-      bump "explore.batches" stats.batches;
-      bump "explore.arena_hwm_words" stats.arena_hwm_words)
-    metrics;
-  match Atomic.get found with
-  | None -> Complete stats
-  | Some (schedule, error) ->
-    (* replay through the interpreter: the reported artifact is
-       engine-neutral and independently re-executes the vm's claim *)
-    let stepped =
-      List.fold_left
-        (fun c pid -> Counterex.step_pid ~inputs c pid)
-        (Vm.config p) schedule
-    in
-    let final = Counterex.complete ~inputs ~max_steps:completion_steps stepped in
-    Violation ({ Counterex.schedule; error; config = final }, stats)
+  E.explore ~n:p.Vm.n ~depth ~reduce ~cache ~jobs ~batch ~replay:(jobs > 1) ~make
+    ~root:(fun () -> Vm.config p)
+    ~inputs ~completion_steps ?metrics ?prof ?series ()

@@ -1,64 +1,34 @@
-(** Exploration engine v3: DPOR over bytecode-compiled protocols
-    ({!Shm.Vm}), with batched frontier expansion over contiguous
-    arenas.
+(** The bytecode-vm instance of the DPOR core ({!Explore}): states are
+    slots of a per-worker int arena holding {!Shm.Vm} machine states.
 
-    Applies the same reduction as {!Dpor} — singleton ample sets for
-    local steps, sleep sets, state caching guarded by remaining depth
-    and sleep-subset inclusion — to first-order protocols executed by
-    the bytecode engine: a configuration is a flat slice of an int
-    arena, a child node is one [Array.blit] plus one in-place
-    [Vm.step], and the cache key is read off the slice (maintained
-    incrementally by the vm, hashing the machine state itself — see
-    [Shm.Vm.key]).  The
-    frontier is expanded [batch] nodes per pass so successor slices
-    are bump-allocated consecutively — the cache-friendly layout the
-    interpreter's heap configurations cannot offer.
+    A child is one [Array.blit] plus one in-place [Vm.step], and the
+    cache key is read off the slot (maintained incrementally by the vm,
+    hashing the machine state itself — see [Shm.Vm.key]).  The core
+    pops the frontier [batch] nodes at a time, so successor slots are
+    bump-allocated consecutively.  With [jobs > 1] the worker domains
+    steal from each other; a thief replays the stolen schedule into its
+    own arena.
 
-    With [reduce:false] the engine enumerates every schedule — the
-    vm analogue of {!Modelcheck.exhaustive}, and the naive arm of the
-    vm differential tests.  With [jobs > 1] the root is expanded
-    breadth-first until the frontier feeds every domain, then each
-    domain drains its share on a {e private} arena (snapshots are
-    plain ints, so distribution is a blit at spawn time and workers
-    share no mutable state; the split is static — no stealing).
+    With [reduce:false] the engine enumerates every schedule — the vm
+    analogue of {!Modelcheck.exhaustive}, and the naive arm of the vm
+    differential tests.  The vm executes compiled first-order protocols
+    only; its semantic agreement with the free-monad interpreter is
+    enforced by the fuzzer's [vm] oracle and the QCheck equivalence
+    suite rather than assumed, and violations are replayed through the
+    interpreter before being reported. *)
 
-    Soundness mirrors [Dpor]'s, with one engine-specific caveat: the
-    vm executes compiled first-order protocols only, and its semantic
-    agreement with the free-monad interpreter is enforced by the
-    fuzzer's [vm] oracle and the QCheck equivalence suite rather than
-    assumed.  Violations are replayed through the interpreter before
-    being reported, so every {!Counterex.t} that leaves this module
-    has been independently re-executed by the reference engine. *)
-
-type stats = {
-  explored : int;  (** nodes visited (interior + frontier) *)
-  leaves : int;  (** frontier configurations completed and checked *)
-  max_depth : int;
-  cache_hits : int;  (** nodes short-circuited by the state cache *)
-  sleep_pruned : int;  (** branches pruned by sleep sets *)
-  batches : int;  (** frontier passes (≤ [batch] nodes each) *)
-  arena_hwm_words : int;  (** peak arena footprint, ints, summed over domains *)
-  domains : int;
-}
-
-type outcome = Complete of stats | Violation of Counterex.t * stats
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-(** [explore ~depth ~inputs ~check p] compiles [p] and explores one
-    representative schedule per equivalence class up to [depth] steps,
-    completing each frontier configuration deterministically (the
-    [Counterex.complete] schedule, budget [completion_steps], default
-    50k) and applying [check] to the decoded i/o records
+(** [explore ~depth ~inputs ~check p] compiles [p] and explores it up
+    to [depth] steps, completing each frontier state deterministically
+    (the [Counterex.complete] schedule, budget [completion_steps],
+    default 50k) and applying [check] to the decoded i/o records
     ({!Properties.check_safety_io} fits directly).
 
     [reduce] (default [true]) enables the partial-order reduction;
-    [cache] (default [true]) the state cache; [batch] (default 8) is
-    the frontier batch size; [rounds] (default 1) bounds invocations
-    per process.  [metrics] receives the merged [explore.*] counters
-    (including [explore.batches] and [explore.arena_hwm_words]);
-    [prof] the per-phase breakdown ([vm.step], [vm.batch], [cache],
-    [check]); [series] strided frontier samples.
+    [cache] (default [true]) the state cache; [jobs] (default 1) is the
+    number of domains; [batch] (default 8) the frontier batch size;
+    [rounds] (default 1) bounds invocations per process.  [metrics],
+    [prof] and [series] are fed as described in {!Explore.Make}; the
+    profile attributes [vm.step] and [vm.batch] here.
 
     Raises [Invalid_argument] when [p] has more than 62 processes
     (sleep sets are int bitmasks) or fails to compile. *)
@@ -79,4 +49,4 @@ val explore :
      outputs:(int * int * Shm.Value.t) list ->
      (unit, string) result) ->
   Shm.Vm.proto ->
-  outcome
+  Explore.outcome

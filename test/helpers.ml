@@ -64,3 +64,8 @@ let qcheck_to_alcotest t =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| base_seed |]) t
   in
   (name, speed, fun x -> with_seed_report (fun _seed -> run x) ())
+
+let contains_substring hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0

@@ -13,11 +13,6 @@ let to_alcotest = Helpers.qcheck_to_alcotest
 
 let params ~n ~m ~k = Agreement.Params.make ~n ~m ~k
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 (* ---- abstract stepping hooks ---- *)
 
 let hooks_feed () =

@@ -284,7 +284,8 @@ let shrinker_reaches_empty () =
 (* ---- parallel domains ---- *)
 
 (* --jobs 1 and --jobs 4 agree on the outcome, on both a correct and a
-   starved instance. *)
+   starved instance, and on generated protocols run through the
+   bytecode engine (whose worker domains steal and replay too). *)
 let jobs_agree () =
   [ (2, 1, 3, 10, true); (2, 1, 1, 10, false); (3, 1, 1, 7, false) ]
   |> List.iter (fun (n, k, r, depth, expect_ok) ->
@@ -296,7 +297,92 @@ let jobs_agree () =
              ~k ~r
          in
          Alcotest.(check bool) (Fmt.str "jobs=1 verdict (n=%d r=%d)" n r) expect_ok (is_ok j1);
-         Alcotest.(check bool) (Fmt.str "jobs=4 verdict (n=%d r=%d)" n r) expect_ok (is_ok j4))
+         Alcotest.(check bool) (Fmt.str "jobs=4 verdict (n=%d r=%d)" n r) expect_ok (is_ok j4));
+  let rng = Shm.Rng.create 5 in
+  for i = 1 to 60 do
+    let proto = Fuzz.Gen.generate rng in
+    let run jobs =
+      Spec.Modelcheck.run_vm
+        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+        ~depth:10 ~inputs:Fuzz.Gen.inputs
+        ~check:(Spec.Properties.check_safety_io ~k:1)
+        proto
+    in
+    let j4 = run 4 in
+    Alcotest.(check bool) (Fmt.str "run_vm jobs=1 and jobs=4 verdicts (protocol %d)" i)
+      (is_ok (run 1)) (is_ok j4);
+    (* a parallel counterexample is genuine: it replays through the
+       interpreter *)
+    match Spec.Modelcheck.counterex_of j4 with
+    | None -> ()
+    | Some ce ->
+      Alcotest.(check bool) (Fmt.str "run_vm jobs=4 counterexample replays (protocol %d)" i)
+        true
+        (Spec.Counterex.replay ~completion_steps:50_000 ~inputs:Fuzz.Gen.inputs
+           ~check:(check_safety ~k:1) (Shm.Vm.config proto) ce.Spec.Counterex.schedule
+        <> None)
+  done
+
+(* A check that raises in one worker stops the others and reaches the
+   caller, on both engines, instead of leaving them waiting for nodes
+   that will never be finished. *)
+let raising_check_propagates () =
+  let p = Params.make ~n:3 ~m:1 ~k:1 in
+  let leaves = Atomic.make 0 in
+  let boom () = if Atomic.fetch_and_add leaves 1 = 50 then failwith "boom" in
+  Alcotest.check_raises "interpreter, jobs=4" (Failure "boom") (fun () ->
+      ignore
+        (Spec.Modelcheck.run
+           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 4 })
+           ~depth:10 ~inputs:(inputs_for 3)
+           ~check:(fun _ -> boom (); Ok ())
+           (Instances.oneshot p)));
+  Atomic.set leaves 0;
+  let proto =
+    Shm.Vm.
+      { registers = 2; n = 3; steps = [ Write (0, Input); Scan (0, 2); Read 1; Decide Last ] }
+  in
+  Alcotest.check_raises "vm, jobs=4" (Failure "boom") (fun () ->
+      ignore
+        (Spec.Modelcheck.run_vm
+           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 4 })
+           ~depth:10 ~inputs:Fuzz.Gen.inputs
+           ~check:(fun ~inputs:_ ~outputs:_ -> boom (); Ok ())
+           proto))
+
+(* ---- pinned visit order ---- *)
+
+(* Counts recorded on the engines before they shared one core: every
+   node, leaf, cache hit and prune depends on the visit order (pids
+   ascending, cache checked before branching, the batch pops), so any
+   change to that order moves them. *)
+let visit_order_pinned () =
+  let p = Params.make ~n:3 ~m:1 ~k:1 in
+  let s =
+    Spec.Modelcheck.stats_of
+      (Spec.Modelcheck.run
+         ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+         ~depth:10 ~inputs:(inputs_for 3) ~check:(check_safety ~k:1) (Instances.oneshot p))
+  in
+  Alcotest.(check (list int)) "Figure 3, n=3, depth 10: explored, leaves, hits, pruned"
+    [ 1428; 843; 33; 223 ]
+    Spec.Modelcheck.[ s.explored; s.leaves; s.cache_hits; s.pruned ];
+  let rng = Shm.Rng.create 1 in
+  let nodes = ref 0 and violations = ref 0 in
+  for _ = 1 to 50 do
+    let out =
+      Spec.Modelcheck.run_vm
+        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+        ~depth:14 ~inputs:Fuzz.Gen.inputs
+        ~check:(Spec.Properties.check_safety_io ~k:1)
+        (Fuzz.Gen.generate rng)
+    in
+    nodes := !nodes + (Spec.Modelcheck.stats_of out).Spec.Modelcheck.explored;
+    if not (is_ok out) then incr violations
+  done;
+  Alcotest.(check (pair int int))
+    "run_vm, 50 generated protocols (seed 1): nodes, violations"
+    (23_579, 41) (!nodes, !violations)
 
 (* Every combination of memory backend × cache-key flavour × domain
    count reaches the same verdict, on a correct and a starved instance.
@@ -377,6 +463,8 @@ let suite =
     slow_test "shrinker reaches the empty schedule when completion violates"
       shrinker_reaches_empty;
     slow_test "jobs=1 and jobs=4 agree on outcomes" jobs_agree;
+    test "visit order pinned: node, leaf and cache counts" visit_order_pinned;
+    test "a raising check stops every worker and propagates" raising_check_propagates;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
   ]

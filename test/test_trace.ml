@@ -165,6 +165,31 @@ let coverage_probe_tracks_run () =
 
 (* ---- parallel DPOR integration ---- *)
 
+let spans_named tr prefix =
+  List.filter
+    (fun (s : Obs.Trace.span) ->
+      String.length s.Obs.Trace.name >= String.length prefix
+      && String.sub s.Obs.Trace.name 0 (String.length prefix) = prefix)
+    (Obs.Trace.spans tr)
+
+(* One explore span, and one worker span per domain parented to it. *)
+let check_workers ~jobs named =
+  Alcotest.(check int) "one explore span" 1 (List.length (named "explore"));
+  Alcotest.(check int) "one worker span per domain" jobs
+    (List.length (named "worker"));
+  let explore = List.hd (named "explore") in
+  List.iter
+    (fun (w : Obs.Trace.span) ->
+      Alcotest.(check int) "workers parented to explore" explore.Obs.Trace.id
+        w.Obs.Trace.parent)
+    (named "worker");
+  (* distinct domains actually ran the workers *)
+  let doms =
+    List.sort_uniq compare
+      (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.dom) (named "worker"))
+  in
+  Alcotest.(check int) "workers on distinct domains" jobs (List.length doms)
+
 (* A traced parallel exploration must produce: the explore span, one
    worker span per domain, per-node coverage counters, and balanced
    open/close — the per-domain timeline the Chrome export renders. *)
@@ -191,29 +216,7 @@ let dpor_parallel_trace () =
   | Spec.Modelcheck.Counterexample { error; _ } -> Alcotest.failf "violation: %s" error);
   Alcotest.(check bool) "detached after" true (Obs.Trace.attached () = None);
   Alcotest.(check int) "nothing left open" 0 (Obs.Trace.open_count tr);
-  let spans = Obs.Trace.spans tr in
-  let named prefix =
-    List.filter
-      (fun (s : Obs.Trace.span) ->
-        String.length s.Obs.Trace.name >= String.length prefix
-        && String.sub s.Obs.Trace.name 0 (String.length prefix) = prefix)
-      spans
-  in
-  Alcotest.(check int) "one explore span" 1 (List.length (named "explore"));
-  Alcotest.(check int) "one worker span per domain" jobs
-    (List.length (named "worker"));
-  let explore = List.hd (named "explore") in
-  List.iter
-    (fun (w : Obs.Trace.span) ->
-      Alcotest.(check int) "workers parented to explore" explore.Obs.Trace.id
-        w.Obs.Trace.parent)
-    (named "worker");
-  (* distinct domains actually ran the workers *)
-  let doms =
-    List.sort_uniq compare
-      (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.dom) (named "worker"))
-  in
-  Alcotest.(check int) "workers on distinct domains" jobs (List.length doms);
+  check_workers ~jobs (spans_named tr);
   (* coverage counters were sampled *)
   let tracks =
     List.sort_uniq compare
@@ -223,7 +226,26 @@ let dpor_parallel_trace () =
     (List.mem Obs.Coverage.track_covered tracks);
   (* the profile attributed time somewhere *)
   Alcotest.(check bool) "profile non-empty" false (Obs.Prof.is_empty prof);
-  Alcotest.(check bool) "series sampled" true (Obs.Prof.Series.length series > 0)
+  Alcotest.(check bool) "series sampled" true (Obs.Prof.Series.length series > 0);
+  (* the bytecode engine runs the same core: same worker timelines *)
+  let tr = Obs.Trace.create () in
+  let proto =
+    Shm.Vm.
+      {
+        registers = 2;
+        n = 3;
+        steps = [ Write (0, Input); Scan (0, 2); Write (1, Last); Read 0; Decide Last ];
+      }
+  in
+  ignore
+    (Obs.Trace.with_attached tr (fun () ->
+         Spec.Modelcheck.run_vm
+           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+           ~depth:10 ~inputs
+           ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
+           proto));
+  Alcotest.(check int) "vm: nothing left open" 0 (Obs.Trace.open_count tr);
+  check_workers ~jobs (spans_named tr)
 
 (* ---- exports ---- *)
 

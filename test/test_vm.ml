@@ -334,6 +334,56 @@ let verdict_property =
           (if violated interp then "violation" else "safe")
           (if violated vm then "violation" else "safe"))
 
+(* (f) Parallel exploration: jobs=4 agrees with jobs=1 *)
+
+(* The worker domains steal from each other and replay stolen
+   schedules into their own arenas; whether a violation exists is a
+   property of the protocol, so the verdict must not depend on how the
+   tree was shared out. *)
+let parallel_property =
+  QCheck.Test.make ~count:40 ~name:"run_vm jobs=4 agrees with jobs=1 on the verdict"
+    QCheck.(make Gen.int)
+    (fun seed ->
+      let p = G.generate (Rng.create seed) in
+      let violated jobs =
+        match
+          Spec.Modelcheck.run_vm
+            ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+            ~depth:10 ~inputs:G.inputs
+            ~check:(Spec.Properties.check_safety_io ~k:1)
+            p
+        with
+        | Spec.Modelcheck.Ok_bounded _ -> false
+        | Spec.Modelcheck.Counterexample _ -> true
+      in
+      violated 1 = violated 4
+      || QCheck.Test.fail_reportf "verdicts differ across jobs on %s" (G.to_string p))
+
+(* A protocol that is safe to depth 12 and whose tree is deep enough
+   for the four workers to steal from each other many times, including
+   stealing nodes back from their thieves.  A stolen node's arena slot
+   is freed by its original owner, so every worker must rebuild such a
+   node by replay; using the freed slot instead yields phantom
+   violations or steps of halted processes. *)
+let parallel_steal_back () =
+  let p =
+    match G.parse "r1 n4 : L2[S0+1]; W0<-in; W0<-1; L2[W0<-2]; R0; S0+1; R0; D last" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  for round = 1 to 5 do
+    match
+      Spec.Modelcheck.run_vm
+        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 4 })
+        ~depth:12 ~inputs:G.inputs
+        ~check:(Spec.Properties.check_safety_io ~k:1)
+        p
+    with
+    | Spec.Modelcheck.Ok_bounded _ -> ()
+    | Spec.Modelcheck.Counterexample { error; _ } ->
+      Alcotest.failf "round %d: phantom violation: %s" round error
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -346,4 +396,6 @@ let suite =
     seeded_test "state key is deterministic" test_key_deterministic;
     seeded_test "state key converges on equal states" test_key_converges;
     qcheck_to_alcotest verdict_property;
+    qcheck_to_alcotest parallel_property;
+    test "jobs=4 rebuilds stolen nodes, even stolen back" parallel_steal_back;
   ]
