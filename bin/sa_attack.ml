@@ -9,8 +9,7 @@
 open Cmdliner
 open Lowerbound
 
-let theorem2 n m k registers icap =
-  let p = Agreement.Params.make ~n ~m ~k in
+let theorem2 p registers icap =
   let registers =
     match registers with Some r -> r | None -> Agreement.Params.registers_lower p - 1
   in
@@ -36,26 +35,28 @@ let theorem2 n m k registers icap =
              g.Theorem2.pset
              Fmt.(list ~sep:comma int)
              g.Theorem2.aset);
-    (match Spec.Properties.check_safety ~k config with
+    (match Spec.Properties.check_safety ~k:p.Agreement.Params.k config with
     | Error e -> Fmt.pr "checker: %s@." e
     | Ok () -> Fmt.pr "checker: found nothing (unexpected)@.");
-    0
-  | Theorem2.Out_of_processes _ -> 1
-  | Theorem2.Gamma_failed _ -> 2
+    exit 0
+  | Theorem2.Out_of_processes _ -> exit 1
+  | Theorem2.Gamma_failed _ -> exit 2
 
-let clones k registers slots =
-  let c = k + 1 in
-  let slots =
-    match slots with
-    | Some s -> s
-    | None -> c * (1 + (((registers * registers) - registers) / 2))
-  in
-  let p = Agreement.Params.make ~n:slots ~m:1 ~k in
+(* The clone construction runs k+1 groups on [slots] process slots,
+   by default the theorem's threshold for [registers]. *)
+let clones_target k registers slots =
+  let threshold = (k + 1) * (1 + (((registers * registers) - registers) / 2)) in
+  let p = { Agreement.Params.n = Option.value slots ~default:threshold; m = 1; k } in
+  match Agreement.Params.validate p with
+  | Ok () -> Ok (p, registers, threshold)
+  | Error e -> Error (Fmt.str "-k/--slots: %s (n = process slots)" e)
+
+let clones (p, registers, threshold) =
+  let { Agreement.Params.n = slots; k; _ } = p in
   Fmt.pr
     "Section 5 clone construction: k=%d, %d registers, %d process slots (theorem \
      threshold %d)@."
-    k registers slots
-    (c * (1 + (((registers * registers) - registers) / 2)));
+    k registers slots threshold;
   let outcome =
     Clones.attack ~params:p ~registers ~slots
       ~make_config:(fun ~registers ~slots ->
@@ -63,33 +64,44 @@ let clones k registers slots =
       ()
   in
   Fmt.pr "%a@." Clones.pp_outcome outcome;
-  match outcome with Clones.Violation _ -> 0 | _ -> 1
+  exit (match outcome with Clones.Violation _ -> 0 | _ -> 1)
+
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"when the construction breaks the algorithm (a safety violation).";
+      info 1 ~doc:"when the construction does not break the algorithm.";
+      info 2 ~doc:"on usage errors, or when Theorem 2's gamma construction fails.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
 
 let theorem2_cmd =
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
   let registers =
-    Arg.(value & opt (some int) None & info [ "registers"; "r" ] ~doc:"Register budget.")
+    Arg.(
+      value
+      & opt (some (Cli.at_least 1)) None
+      & info [ "registers"; "r" ] ~doc:"Register budget.")
   in
   let icap = Arg.(value & opt int 4 & info [ "icap" ] ~doc:"Ordinary-instance cap.") in
   Cmd.v
-    (Cmd.info "theorem2" ~doc:"Run the Figure 2 adversary against Figure 4")
-    Term.(const theorem2 $ n $ m $ k $ registers $ icap)
+    (Cmd.info "theorem2" ~exits ~doc:"Run the Figure 2 adversary against Figure 4")
+    Term.(const theorem2 $ Cli.nmk () $ registers $ icap)
 
 let clones_cmd =
   let k = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Agreement bound.") in
-  let registers = Arg.(value & opt int 3 & info [ "registers"; "r" ] ~doc:"Registers.") in
+  let registers =
+    Arg.(value & opt (Cli.at_least 1) 3 & info [ "registers"; "r" ] ~doc:"Registers.")
+  in
   let slots =
     Arg.(value & opt (some int) None & info [ "slots" ] ~doc:"Process slots.")
   in
   Cmd.v
-    (Cmd.info "clones" ~doc:"Run the anonymous clone construction")
-    Term.(const clones $ k $ registers $ slots)
+    (Cmd.info "clones" ~exits ~doc:"Run the anonymous clone construction")
+    Term.(
+      const clones $ term_result' ~usage:true (const clones_target $ k $ registers $ slots))
 
 let () =
-  exit
-    (Cmd.eval'
-       (Cmd.group
-          (Cmd.info "sa_attack" ~doc:"Executable lower bounds of the paper")
-          [ theorem2_cmd; clones_cmd ]))
+  Cli.eval
+    (Cmd.group
+       (Cmd.info "sa_attack" ~exits ~doc:"Executable lower bounds of the paper")
+       [ theorem2_cmd; clones_cmd ])

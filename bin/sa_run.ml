@@ -17,156 +17,9 @@
 
 open Cmdliner
 
-type algo = One_shot | Repeated | Anonymous | Baseline
-
-let algo_conv =
-  Arg.enum
-    [ ("oneshot", One_shot); ("repeated", Repeated); ("anonymous", Anonymous);
-      ("baseline", Baseline) ]
-
-let impl_conv =
-  Arg.enum
-    [
-      ("atomic", `Atomic);
-      ("collect", `Collect);   (* register-level double collect *)
-      ("sw", `Sw);             (* n single-writer registers *)
-    ]
-
-let backend_conv =
-  let parse s =
-    match Shm.Memory.backend_of_string s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          (Fmt.str "unknown memory backend %S (expected persistent|map|journal|journaled)"
-             s))
-  in
-  Arg.conv (parse, fun ppf b -> Fmt.string ppf (Shm.Memory.backend_name b))
-
-let memory_backend_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "memory-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Simulator register backend: $(b,journaled) (flat array + undo journal, the \
-           default) or $(b,persistent) (the reference persistent map).  The test \
-           suite pins the two observationally equivalent; switch to persistent when \
-           bisecting a suspected backend bug (see docs/PERFORMANCE.md).")
-
-(* Applies process-wide, before any configuration is built. *)
-let set_memory_backend = Option.iter Shm.Memory.set_default
-
-(* scheduler spec: name[:arg[:arg]] *)
-let sched_specs =
-  [ "round-robin"; "quantum[:Q]"; "random[:SEED]"; "solo:P"; "m-bounded:SEED[:M]" ]
-
-let parse_sched spec ~n =
-  let ( let* ) r f = Result.bind r f in
-  let int_arg what v =
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Fmt.str "scheduler %S: %s %S is not an integer" spec what v)
-  in
-  match String.split_on_char ':' spec with
-  | [ "round-robin" ] -> Ok (Shm.Schedule.round_robin n)
-  | [ "quantum"; q ] ->
-    let* q = int_arg "quantum" q in
-    Ok (Shm.Schedule.quantum_round_robin ~quantum:q n)
-  | [ "quantum" ] -> Ok (Shm.Schedule.quantum_round_robin ~quantum:300 n)
-  | [ "random"; s ] ->
-    let* s = int_arg "seed" s in
-    Ok (Shm.Schedule.random ~seed:s n)
-  | [ "random" ] -> Ok (Shm.Schedule.random ~seed:0 n)
-  | [ "solo"; p ] ->
-    let* p = int_arg "pid" p in
-    Ok (Shm.Schedule.solo p)
-  | [ "m-bounded"; s ] ->
-    let* s = int_arg "seed" s in
-    Ok (Shm.Schedule.m_bounded ~seed:s ~m:1 ~prefix:100 n)
-  | [ "m-bounded"; s; m ] ->
-    let* s = int_arg "seed" s in
-    let* m = int_arg "m" m in
-    if m < 1 || m > n then
-      Error (Fmt.str "scheduler %S: need 1 <= m <= n (n = %d)" spec n)
-    else Ok (Shm.Schedule.m_bounded ~seed:s ~m ~prefix:100 n)
-  | _ ->
-    Error
-      (Fmt.str "unknown scheduler %S; valid specs: %s" spec
-         (String.concat " | " sched_specs))
-
-(* Validation past parsing is a term error: cmdliner prints "sa_run:
-   MSG" with the usage line and [Cmd.eval ~term_err:2] (bottom of the
-   file) exits 2, as it does for unparsable arguments — bad input never
-   escapes as an uncaught exception. *)
-let exits =
-  Cmd.Exit.
-    [
-      info 0 ~doc:"on success.";
-      info 1 ~doc:"on a safety violation, a failed verdict or a divergence.";
-      info 2 ~doc:"on usage errors: unparsable or out-of-range arguments.";
-      info internal_error ~doc:"on unexpected internal errors (bugs).";
-    ]
-
-let params_term n m k =
-  let make n m k =
-    let p = { Agreement.Params.n; m; k } in
-    Result.map (fun () -> p) (Agreement.Params.validate p)
-  in
-  Term.(term_result' ~usage:true (const make $ n $ m $ k))
-
-let at_least lo name t =
-  let check v =
-    if v >= lo then Ok v else Error (Fmt.str "--%s must be at least %d, got %d" name lo v)
-  in
-  Term.(term_result' ~usage:true (const check $ t))
-
-(* exploration spec: engine:DEPTH *)
-let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
-
-let parse_explore spec ~jobs ~n =
-  let engine_of = function
-    | "naive" -> Some Spec.Modelcheck.Naive
-    | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
-    | "dpor-nocache" -> Some (Spec.Modelcheck.Dpor { cache = false; jobs })
-    | _ -> None
-  in
-  match String.split_on_char ':' spec with
-  | _ when n > Spec.Explore.max_n ->
-    Error (Fmt.str "--explore: at most %d processes, got n=%d" Spec.Explore.max_n n)
-  | [ name; d ] -> (
-    match (engine_of name, int_of_string_opt d) with
-    | Some engine, Some depth when depth >= 0 -> Ok (engine, depth)
-    | Some _, _ -> Error (Fmt.str "--explore %S: depth %S is not a non-negative integer" spec d)
-    | None, _ ->
-      Error
-        (Fmt.str "--explore %S: unknown engine %S; valid specs: %s" spec name
-           (String.concat " | " explore_specs)))
-  | _ ->
-    Error
-      (Fmt.str "--explore %S: expected engine:DEPTH; valid specs: %s" spec
-         (String.concat " | " explore_specs))
-
-(* Shared between the default command and `trace`: the flag-to-impl
-   mapping and instance construction. *)
-let impl_of = function
-  | `Atomic -> Agreement.Instances.Atomic
-  | `Collect -> Agreement.Instances.Double_collect
-  | `Sw -> Agreement.Instances.Sw_based
-
-let build_config ~algo ~impl ~registers params =
-  match algo with
-  | One_shot -> Agreement.Instances.oneshot ?r:registers ~impl params
-  | Repeated -> Agreement.Instances.repeated ?r:registers ~impl params
-  | Baseline ->
-    if registers <> None then
-      Fmt.epr "note: --registers is ignored for the baseline algorithm@.";
-    Agreement.Instances.baseline ~impl params
-  | Anonymous ->
-    Agreement.Instances.anonymous ?r:registers
-      ~anonymous_collect:(impl = Agreement.Instances.Double_collect)
-      params
+let stopped = function
+  | Shm.Exec.All_quiescent -> "quiescent"
+  | Shm.Exec.Fuel_exhausted -> "fuel exhausted"
 
 (* Model-check the configured instance over all schedules up to the
    depth bound, instead of running one schedule. *)
@@ -216,43 +69,19 @@ let explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config =
   end;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
-let run backend algo params impl sched_spec rounds trace diagram stats trace_out
-    max_steps registers explore jobs shrink =
-  set_memory_backend backend;
-  let { Agreement.Params.n; k; _ } = params in
-  let sched =
-    match parse_sched sched_spec ~n with
-    | Ok s -> s
-    | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-  in
-  let impl = impl_of impl in
-  let input_fn pid instance = Shm.Value.int ((100 * instance) + pid) in
-  let config = build_config ~algo ~impl ~registers params in
-  let rounds = match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds in
-  let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
-  match explore with
-  | Some spec -> (
-    match parse_explore spec ~jobs ~n with
-    | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-    | Ok (engine, depth) -> explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config)
+let run (s : Cli.scenario) trace diagram stats trace_out shrink =
+  let { Agreement.Params.n; k; _ } = s.params in
+  match s.explore with
+  | Some (engine, depth) ->
+    explore_main ~engine ~depth ~shrink ~stats ~k ~inputs:s.inputs s.config
   | None ->
   (* Streaming observers: spans and stats always (they are O(1) and
      cheap), JSONL export when --trace-out was given. *)
-  let registers = Shm.Memory.size (Shm.Config.mem config) in
+  let registers = Shm.Memory.size (Shm.Config.mem s.config) in
   let span = Obs.Span.create () in
   let exec_stats = Obs.Stats.create ~n ~registers () in
   let trace_chan =
-    Option.map
-      (fun path ->
-        try open_out path
-        with Sys_error e ->
-          Fmt.epr "--trace-out: %s@." e;
-          exit 2)
-      trace_out
+    Option.map (fun path -> Cli.or_usage_error "trace-out" (fun () -> open_out path)) trace_out
   in
   let sink =
     Obs.Sink.tee
@@ -260,7 +89,8 @@ let run backend algo params impl sched_spec rounds trace diagram stats trace_out
       :: (match trace_chan with Some oc -> [ Obs.Jsonl.sink_to_channel oc ] | None -> []))
   in
   let result =
-    Shm.Exec.run ~record:(trace || diagram) ~sink ~sched ~inputs ~max_steps config
+    Shm.Exec.run ~record:(trace || diagram) ~sink ~sched:s.sched ~inputs:s.inputs
+      ~max_steps:s.max_steps s.config
   in
   Option.iter close_out trace_chan;
   if trace then
@@ -271,13 +101,13 @@ let run backend algo params impl sched_spec rounds trace diagram stats trace_out
       (fun ppf -> Shm.Diagram.pp ~len:80 ~n ppf)
       result.Shm.Exec.trace;
   Fmt.pr "algorithm: %s over %s snapshot, scheduler: %s@."
-    (match algo with
+    (match s.algo with
     | One_shot -> "one-shot (Fig. 3)"
     | Repeated -> "repeated (Fig. 4)"
     | Anonymous -> "anonymous (Fig. 5)"
     | Baseline -> "DFGR'13 baseline")
-    (Agreement.Instances.impl_name impl)
-    (Shm.Schedule.name sched);
+    (Agreement.Instances.impl_name s.impl)
+    (Shm.Schedule.name s.sched);
   Spec.Properties.by_instance result.Shm.Exec.config
   |> List.iter (fun (inst, ins, outs) ->
          Fmt.pr "instance %d: in {%a} out {%a}@." inst
@@ -289,9 +119,7 @@ let run backend algo params impl sched_spec rounds trace diagram stats trace_out
   | Ok () -> Fmt.pr "safety: OK@."
   | Error e -> Fmt.pr "safety: VIOLATED — %s@." e);
   Fmt.pr "stopped: %s after %d steps; registers written: %d@."
-    (match result.Shm.Exec.stopped with
-    | Shm.Exec.All_quiescent -> "quiescent"
-    | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+    (stopped result.Shm.Exec.stopped)
     result.Shm.Exec.steps
     (Agreement.Runner.registers_used result);
   if stats then begin
@@ -309,78 +137,51 @@ let run backend algo params impl sched_spec rounds trace diagram stats trace_out
    records per-domain DPOR worker timelines, steal flows, and the
    exploration counter tracks. *)
 
-let trace_main backend algo params impl sched_spec rounds registers explore jobs
-    max_steps sets out jsonl_out stats =
-  set_memory_backend backend;
-  let { Agreement.Params.n; k; _ } = params in
-  let impl = impl_of impl in
-  let config = build_config ~algo ~impl ~registers params in
-  let rounds =
-    match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds
-  in
-  let input_fn pid instance = Shm.Value.int ((100 * instance) + pid) in
-  let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
+let trace_main (s : Cli.scenario) sets out jsonl_out stats =
   let tr = Obs.Trace.create () in
   let prof = Obs.Prof.create () in
   let series = Obs.Prof.Series.create () in
   let code =
     Obs.Trace.with_attached tr (fun () ->
-        match explore with
-        | Some spec -> (
-          match parse_explore spec ~jobs ~n with
-          | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2
-          | Ok (engine, depth) ->
-            let check = Spec.Properties.check_safety ~k in
-            let metrics = Obs.Metrics.create () in
-            let outcome =
-              Spec.Modelcheck.run ~engine ~depth ~inputs ~metrics ~prof ~series
-                ~check config
-            in
-            Fmt.pr "engine: %s, depth bound: %d — %a@."
-              (Spec.Modelcheck.engine_name engine)
-              depth Spec.Modelcheck.pp_outcome outcome;
-            (match outcome with Spec.Modelcheck.Ok_bounded _ -> 0 | _ -> 1))
-        | None ->
-          let sched =
-            match parse_sched sched_spec ~n with
-            | Ok s -> s
-            | Error e ->
-              Fmt.epr "%s@." e;
-              exit 2
+        match s.explore with
+        | Some (engine, depth) ->
+          let check = Spec.Properties.check_safety ~k:s.params.Agreement.Params.k in
+          let metrics = Obs.Metrics.create () in
+          let outcome =
+            Spec.Modelcheck.run ~engine ~depth ~inputs:s.inputs ~metrics ~prof ~series
+              ~check s.config
           in
+          Fmt.pr "engine: %s, depth bound: %d — %a@."
+            (Spec.Modelcheck.engine_name engine)
+            depth Spec.Modelcheck.pp_outcome outcome;
+          (match outcome with Spec.Modelcheck.Ok_bounded _ -> 0 | _ -> 1)
+        | None ->
           (* the coverage probe sees the configuration after each event;
              [--cov-sets] additionally records the sets themselves *)
           let probe = Obs.Coverage.ambient_probe ~sets () in
           let root =
             Obs.Trace.begin_span tr ~cat:"exec"
-              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name sched)) ]
+              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name s.sched)) ]
               "run"
           in
-          let result = Shm.Exec.run ?probe ~sched ~inputs ~max_steps config in
+          let result =
+            Shm.Exec.run ?probe ~sched:s.sched ~inputs:s.inputs ~max_steps:s.max_steps
+              s.config
+          in
           Obs.Trace.end_span tr
             ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ]
             root;
           Fmt.pr "ran %d steps (%s); registers written: %d@."
             result.Shm.Exec.steps
-            (match result.Shm.Exec.stopped with
-            | Shm.Exec.All_quiescent -> "quiescent"
-            | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+            (stopped result.Shm.Exec.stopped)
             (Obs.Coverage.num_written result.Shm.Exec.config);
           0)
   in
-  (try Obs.Chrome_trace.save out tr
-   with Sys_error e ->
-     Fmt.epr "--out: %s@." e;
-     exit 2);
+  Cli.or_usage_error "out" (fun () -> Obs.Chrome_trace.save out tr);
   Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out;
   Option.iter
     (fun path ->
-      (try Obs.Trace.save_jsonl path tr
-       with Sys_error e ->
-         Fmt.epr "--jsonl: %s@." e;
-         exit 2);
+      Cli.or_usage_error "jsonl" (fun () -> Obs.Trace.save_jsonl path tr);
       Fmt.pr "spans written to %s (JSONL)@." path)
     jsonl_out;
   if stats then begin
@@ -393,50 +194,6 @@ let trace_main backend algo params impl sched_spec rounds registers explore jobs
   exit code
 
 let trace_cmd =
-  let algo =
-    Arg.(value & opt algo_conv One_shot & info [ "algo"; "a" ] ~doc:"Algorithm to run.")
-  in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
-  let impl =
-    Arg.(value & opt impl_conv `Atomic & info [ "impl" ] ~doc:"Snapshot implementation.")
-  in
-  let sched =
-    Arg.(
-      value & opt string "quantum:300"
-      & info [ "sched"; "s" ]
-          ~doc:
-            "Scheduler (single-run mode): round-robin | quantum[:Q] | random[:SEED] | \
-             solo:P | m-bounded:SEED[:M].")
-  in
-  let rounds =
-    Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).")
-  in
-  let registers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "registers" ] ~docv:"R" ~doc:"Override the register budget.")
-  in
-  let explore =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explore" ] ~docv:"ENGINE:DEPTH"
-          ~doc:
-            "Trace a model-checking exploration instead of a single run: naive:DEPTH | \
-             dpor:DEPTH | dpor-nocache:DEPTH.  With --jobs > 1 the trace shows \
-             per-domain worker timelines and steal flows.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
-  in
-  let max_steps =
-    Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget (single run).")
-  in
   let sets =
     Arg.(
       value & flag
@@ -464,14 +221,12 @@ let trace_cmd =
           ~doc:"Print the phase breakdown, exploration series, and span summary.")
   in
   Cmd.v
-    (Cmd.info "trace" ~exits
+    (Cmd.info "trace" ~exits:Cli.exits
        ~doc:
          "Record a causal trace — spans, register-coverage timeline, per-domain DPOR \
-          worker timelines with steal flows — and export Chrome trace-event JSON \
-          loadable in Perfetto.")
-    Term.(
-      const trace_main $ memory_backend_arg $ algo $ params_term n m k $ impl $ sched
-      $ rounds $ registers $ explore $ jobs $ max_steps $ sets $ out $ jsonl_out $ stats)
+          worker timelines with steal flows (--explore with --jobs > 1) — and export \
+          Chrome trace-event JSON loadable in Perfetto.")
+    Term.(const trace_main $ Cli.scenario $ sets $ out $ jsonl_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `analyze` subcommand: static protocol analyzer (lib/analyze).   *)
@@ -518,10 +273,9 @@ let analyze_mutants ~witness ~params =
    consumes, so SARIF logs and corpus caches key on the same string. *)
 let analyzer_version = Fuzz.Gen.version
 
-let write_text path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
+let write_text ~flag path s =
+  Cli.or_usage_error flag (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc s))
 
 (* --protocol execution: run or model-check the protocol under the
    selected engine (free-monad interpreter or bytecode vm); both see
@@ -533,9 +287,7 @@ let run_protocol ~engine prog =
   Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
     (Agreement.Runner.engine_name engine)
     r.Agreement.Runner.steps
-    (match r.Agreement.Runner.stopped with
-    | Shm.Exec.All_quiescent -> "quiescent"
-    | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+    (stopped r.Agreement.Runner.stopped)
     (List.length r.Agreement.Runner.written)
     Fmt.(list ~sep:comma int)
     r.Agreement.Runner.written;
@@ -563,16 +315,9 @@ let explore_protocol ~engine ~depth prog =
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
 (* --protocol mode: run the dataflow engine (lib/analyze IR, not the
-   free-monad registry) on one first-order protocol string. *)
+   free-monad registry) on one first-order protocol. *)
 let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
-    ~engine ~run ~explore_depth s =
-  let prog =
-    match Analyze.Ir.parse s with
-    | Ok p -> p
-    | Error msg ->
-      Fmt.epr "protocol parse error: %s@." msg;
-      exit 2
-  in
+    ~engine ~run ~explore_depth prog =
   let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
   let d = Analyze.Dataflow.analyze prog in
   Fmt.pr "%a@." Analyze.Dataflow.pp d;
@@ -591,64 +336,54 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   end;
   let opt = if optimize then Some (Analyze.Optim.optimize prog) else None in
   Option.iter (fun r -> Fmt.pr "@.%a@." Analyze.Optim.pp r) opt;
-  (match sarif_path with
-  | None -> ()
-  | Some path ->
-    write_text path
-      (Analyze.Sarif.to_string ~tool_version:analyzer_version
-         (List.map (fun dg -> (artifact, dg)) flow_diags));
-    Fmt.pr "wrote %s@." path);
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let row =
-      Obs.Json.Obj
-        ([
-           ("kind", Obs.Json.String "protocol");
-           ("protocol", Obs.Json.String (Analyze.Ir.to_string prog));
-           ("registers", Obs.Json.Int prog.Analyze.Ir.registers);
-           ("n", Obs.Json.Int prog.Analyze.Ir.n);
-           ("widened", Obs.Json.Bool facts.Analyze.Indep.widened);
-           ( "const_regs",
-             Obs.Json.Arr
-               (List.map
-                  (fun (r, _) -> Obs.Json.Int r)
-                  facts.Analyze.Indep.const_regs) );
-           ( "dead_regs",
-             Obs.Json.Arr
-               (List.map (fun r -> Obs.Json.Int r) facts.Analyze.Indep.dead_regs)
-           );
-           ("flow_diags", Obs.Json.Int (List.length flow_diags));
-         ]
-        @
-        match opt with
-        | None -> []
-        | Some r ->
-          [
-            ("optimized", Obs.Json.String (Analyze.Ir.to_string r.Analyze.Optim.optimized));
-            ("folded", Obs.Json.Int r.Analyze.Optim.folded);
-            ("dropped", Obs.Json.Int r.Analyze.Optim.dropped);
-          ])
-    in
-    Obs.Bench_out.write ~experiment:"analyze-protocol" ~path [ row ];
-    Fmt.pr "wrote %s@." path);
+  Option.iter
+    (fun path ->
+      write_text ~flag:"sarif" path
+        (Analyze.Sarif.to_string ~tool_version:analyzer_version
+           (List.map (fun dg -> (artifact, dg)) flow_diags));
+      Fmt.pr "wrote %s@." path)
+    sarif_path;
+  Option.iter
+    (fun path ->
+      let row =
+        Obs.Json.Obj
+          ([
+             ("kind", Obs.Json.String "protocol");
+             ("protocol", Obs.Json.String (Analyze.Ir.to_string prog));
+             ("registers", Obs.Json.Int prog.Analyze.Ir.registers);
+             ("n", Obs.Json.Int prog.Analyze.Ir.n);
+             ("widened", Obs.Json.Bool facts.Analyze.Indep.widened);
+             ( "const_regs",
+               Obs.Json.Arr
+                 (List.map (fun (r, _) -> Obs.Json.Int r) facts.Analyze.Indep.const_regs) );
+             ( "dead_regs",
+               Obs.Json.Arr
+                 (List.map (fun r -> Obs.Json.Int r) facts.Analyze.Indep.dead_regs) );
+             ("flow_diags", Obs.Json.Int (List.length flow_diags));
+           ]
+          @
+          match opt with
+          | None -> []
+          | Some r ->
+            [
+              ("optimized", Obs.Json.String (Analyze.Ir.to_string r.Analyze.Optim.optimized));
+              ("folded", Obs.Json.Int r.Analyze.Optim.folded);
+              ("dropped", Obs.Json.Int r.Analyze.Optim.dropped);
+            ])
+      in
+      Cli.or_usage_error "json" (fun () ->
+          Obs.Bench_out.write ~experiment:"analyze-protocol" ~path [ row ]);
+      Fmt.pr "wrote %s@." path)
+    json_path;
   if run then run_protocol ~engine prog;
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
 
-let analyze backend algos all p max_n mutants json_path witness no_dynamic
-    protocol ir indep optimize sarif_path engine_s run explore_depth =
-  set_memory_backend backend;
-  let engine =
-    match Agreement.Runner.engine_of_string engine_s with
-    | Some e -> e
-    | None ->
-      Fmt.epr "unknown engine %S; valid: interp | vm@." engine_s;
-      exit 2
-  in
+let analyze algos all p max_n mutants json_path witness no_dynamic protocol ir indep
+    optimize sarif_path engine run explore_depth =
   (match protocol with
-  | Some s ->
+  | Some prog ->
     analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
-      ~engine ~run ~explore_depth s;
+      ~engine ~run ~explore_depth prog;
     exit 0
   | None ->
     if optimize then begin
@@ -660,37 +395,23 @@ let analyze backend algos all p max_n mutants json_path witness no_dynamic
                with --protocol@.";
       exit 2
     end);
-  let algos = match algos with [] -> None | l -> Some l in
-  (match algos with
-  | Some l ->
-    List.iter
-      (fun a ->
-        if Analyze.Registry.find a = None then begin
-          Fmt.epr "unknown algorithm %S; known: %s@." a
-            (String.concat " | " Analyze.Registry.names);
-          exit 2
-        end)
-      l
-  | None -> ());
   let dynamic = not no_dynamic in
+  let selected =
+    Analyze.Registry.all
+    |> List.filter (fun (e : Analyze.Registry.entry) ->
+           (algos = [] || List.mem e.name algos) && e.applicable p)
+  in
   let rows =
-    if all then Analyze.Report.sweep ~dynamic ~max_n ?algos ()
-    else
-      Analyze.Registry.all
-      |> List.filter (fun (e : Analyze.Registry.entry) ->
-             (match algos with None -> true | Some l -> List.mem e.name l)
-             && e.applicable p)
-      |> List.map (fun e -> Analyze.Report.row_for ~dynamic e p)
+    if all then
+      Analyze.Report.sweep ~dynamic ~max_n ?algos:(if algos = [] then None else Some algos) ()
+    else List.map (fun e -> Analyze.Report.row_for ~dynamic e p) selected
   in
   Fmt.pr "%a@." Analyze.Report.pp_header ();
   List.iter (fun r -> Fmt.pr "%a@." Analyze.Report.pp_row r) rows;
   (* with --witness in single-triple mode, show the discovered path to
      every register in each algorithm's static footprint *)
-  if witness && not all then begin
-    Analyze.Registry.all
-    |> List.filter (fun (e : Analyze.Registry.entry) ->
-           (match algos with None -> true | Some l -> List.mem e.name l)
-           && e.applicable p)
+  if witness && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            let summary =
              Analyze.Absint.analyze ~rounds:e.Analyze.Registry.rounds
@@ -705,45 +426,36 @@ let analyze backend algos all p max_n mutants json_path witness no_dynamic
                    (Fmt.list ~sep:(Fmt.any "@.      ") Fmt.string)
                    w
                | None -> ())
-             summary.Analyze.Absint.writes)
-  end;
-  let selected p =
-    Analyze.Registry.all
-    |> List.filter (fun (e : Analyze.Registry.entry) ->
-           (match algos with None -> true | Some l -> List.mem e.name l)
-           && e.applicable p)
-  in
-  if ir && not all then begin
-    selected p
+             summary.Analyze.Absint.writes);
+  if ir && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            let lowered =
              Analyze.Ir.lower ~rounds:e.Analyze.Registry.rounds
                (e.Analyze.Registry.config p)
            in
            Fmt.pr "@.%s lowered IR:@." e.Analyze.Registry.name;
-           Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered)
-  end;
-  if indep && not all then begin
-    selected p
+           Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered);
+  if indep && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            Fmt.pr "@.%s independence facts: %a@." e.Analyze.Registry.name
              Analyze.Indep.pp_facts
-             (Analyze.Indep.of_config (e.Analyze.Registry.config p)))
-  end;
-  (match sarif_path with
-  | None -> ()
-  | Some path ->
-    let results =
-      List.concat_map
-        (fun (r : Analyze.Report.row) ->
-          List.map
-            (fun dg -> ("algo:" ^ r.Analyze.Report.algo, dg))
-            r.Analyze.Report.diags)
-        rows
-    in
-    write_text path
-      (Analyze.Sarif.to_string ~tool_version:analyzer_version results);
-    Fmt.pr "wrote %s (%d results)@." path (List.length results));
+             (Analyze.Indep.of_config (e.Analyze.Registry.config p)));
+  Option.iter
+    (fun path ->
+      let results =
+        List.concat_map
+          (fun (r : Analyze.Report.row) ->
+            List.map
+              (fun dg -> ("algo:" ^ r.Analyze.Report.algo, dg))
+              r.Analyze.Report.diags)
+          rows
+      in
+      write_text ~flag:"sarif" path
+        (Analyze.Sarif.to_string ~tool_version:analyzer_version results);
+      Fmt.pr "wrote %s (%d results)@." path (List.length results))
+    sarif_path;
   let bad = Analyze.Report.violations rows in
   List.iter
     (fun (r : Analyze.Report.row) ->
@@ -755,41 +467,14 @@ let analyze backend algos all p max_n mutants json_path witness no_dynamic
         r.Analyze.Report.dynamic_within_static;
       print_diags ~witness (Analyze.Lint.errors r.Analyze.Report.diags))
     bad;
-  let mutants_ok =
-    if mutants then
-      analyze_mutants ~witness ~params:p
-    else true
-  in
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let mutant_rows =
-      if mutants then
-        List.map
-          (fun (mu : Analyze.Mutants.mutant) ->
-            Obs.Json.Obj
-              [
-                ("kind", Obs.Json.String "mutant");
-                ("algo", Obs.Json.String mu.Analyze.Mutants.name);
-                ("n", Obs.Json.Int p.Agreement.Params.n);
-                ("m", Obs.Json.Int p.Agreement.Params.m);
-                ("k", Obs.Json.Int p.Agreement.Params.k);
-                ("rejected", Obs.Json.Bool (Analyze.Mutants.rejected mu p));
-              ])
-          Analyze.Mutants.all
-      else []
-    in
-    let sweep_rows =
-      List.map
-        (fun r ->
-          match Analyze.Report.row_to_json r with
-          | Obs.Json.Obj fields ->
-            Obs.Json.Obj (("kind", Obs.Json.String "sweep") :: fields)
-          | j -> j)
-        rows
-    in
-    Obs.Bench_out.write ~experiment:"analyze" ~path (sweep_rows @ mutant_rows);
-    Fmt.pr "wrote %s@." path);
+  let mutants_ok = (not mutants) || analyze_mutants ~witness ~params:p in
+  Option.iter
+    (fun path ->
+      Cli.or_usage_error "json" (fun () ->
+          Obs.Bench_out.write ~experiment:"analyze" ~path
+            (Analyze.Report.json_rows ?mutants:(if mutants then Some p else None) rows));
+      Fmt.pr "wrote %s@." path)
+    json_path;
   Fmt.pr "@.%d rows, %d violations%s@." (List.length rows) (List.length bad)
     (if mutants then
        Fmt.str ", mutants %s" (if mutants_ok then "all rejected" else "NOT all rejected")
@@ -799,10 +484,13 @@ let analyze backend algos all p max_n mutants json_path witness no_dynamic
 let analyze_cmd =
   let algos =
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (enum (List.map (fun a -> (a, a)) Analyze.Registry.names)) []
       & info [ "algo"; "a" ] ~docv:"NAME"
-          ~doc:"Algorithm(s) to analyze (repeatable): oneshot | repeated | \
-                anonymous | baseline.  Default: all.")
+          ~doc:
+            ("Algorithm(s) to analyze (repeatable): "
+            ^ String.concat " | " Analyze.Registry.names
+            ^ ".  Default: all."))
   in
   let all =
     Arg.(
@@ -811,9 +499,6 @@ let analyze_cmd =
           ~doc:"Sweep the whole parameter grid (n <= $(b,--max-n), 1 <= m <= k \
                 < n) instead of one triple.")
   in
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
   let max_n =
     Arg.(value & opt int 6 & info [ "max-n" ] ~doc:"Grid limit for --all.")
   in
@@ -841,10 +526,18 @@ let analyze_cmd =
       & info [ "no-dynamic" ]
           ~doc:"Skip the concrete runs; static analysis and lints only.")
   in
+  let protocol_conv =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error
+            (fun e -> `Msg ("protocol parse error: " ^ e))
+            (Analyze.Ir.parse s)),
+        fun ppf p -> Fmt.string ppf (Analyze.Ir.to_string p) )
+  in
   let protocol =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some protocol_conv) None
       & info [ "protocol" ] ~docv:"PROG"
           ~doc:
             "Analyze a first-order protocol string (the fuzz generator's \
@@ -887,7 +580,10 @@ let analyze_cmd =
   in
   let engine =
     Arg.(
-      value & opt string "interp"
+      value
+      & opt
+          (Cli.enum_of Agreement.Runner.engine_name Agreement.Runner.[ Interp; Vm ])
+          Agreement.Runner.Interp
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Execution engine for --run/--explore-depth: $(b,interp) (the \
@@ -906,7 +602,7 @@ let analyze_cmd =
   let explore_depth =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (Cli.at_least 0)) None
       & info [ "explore-depth" ] ~docv:"DEPTH"
           ~doc:
             "Also model-check the protocol (DPOR, 1-agreement safety) to \
@@ -914,7 +610,7 @@ let analyze_cmd =
              Requires --protocol.")
   in
   Cmd.v
-    (Cmd.info "analyze" ~exits
+    (Cmd.info "analyze" ~exits:Cli.exits
        ~doc:
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
@@ -923,23 +619,14 @@ let analyze_cmd =
           liveness, value sets) on a first-order protocol instead.  Exits 1 \
           on any violation.")
     Term.(
-      const analyze $ memory_backend_arg $ algos $ all $ params_term n m k $ max_n $ mutants
+      const analyze $ algos $ all $ Cli.nmk ~n:4 () $ max_n $ mutants
       $ json_path $ witness $ no_dynamic $ protocol $ ir $ indep $ optimize
       $ sarif_path $ engine $ run $ explore_depth)
 
 (* ------------------------------------------------------------------ *)
 (* The `conform` subcommand: native conformance harness (lib/conform). *)
 
-let conform obj domains components ops chaos seed iters mutant m k stats =
-  let profile =
-    match Conform.Chaos.profile_of_string chaos with
-    | Some p -> p
-    | None ->
-      Fmt.epr "unknown chaos profile %S; valid: %s@." chaos
-        (String.concat " | "
-           (List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles));
-      exit 2
-  in
+let conform (obj, domains, params) components ops profile seed iters mutant stats =
   let metrics = Obs.Metrics.create () in
   let finish code =
     if stats then Fmt.pr "--- metrics ---@.%a@." Obs.Metrics.pp metrics;
@@ -947,17 +634,7 @@ let conform obj domains components ops chaos seed iters mutant m k stats =
   in
   match obj with
   | `Snapshot -> (
-    let sut =
-      match mutant with
-      | None -> Conform.Sut.real
-      | Some name -> (
-        match Conform.Sut.by_name name with
-        | Some s -> s
-        | None ->
-          Fmt.epr "unknown implementation %S; valid: %s@." name
-            (String.concat " | " (List.map (fun s -> s.Conform.Sut.name) Conform.Sut.all));
-          exit 2)
-    in
+    let sut = Option.value mutant ~default:Conform.Sut.real in
     let cfg = { Conform.Harness.domains; components; ops; profile; seed; iters } in
     Fmt.pr "object: snapshot (%s), %d domains x %d ops, %d components, chaos %s, seed %d, \
             %d iterations@."
@@ -975,7 +652,7 @@ let conform obj domains components ops chaos seed iters mutant m k stats =
          reproduction of a timing-dependent failure *)
       Fmt.pr "replay: sa_run conform --object snapshot%s --domains %d --components %d \
               --ops %d --chaos %s --seed %d --iters 40@."
-        (match mutant with Some mu -> " --mutant " ^ mu | None -> "")
+        (match mutant with Some mu -> " --mutant " ^ mu.Conform.Sut.name | None -> "")
         domains components ops
         (Conform.Chaos.profile_name profile)
         v.Conform.Harness.iter_seed;
@@ -985,7 +662,6 @@ let conform obj domains components ops chaos seed iters mutant m k stats =
       Fmt.epr "--mutant applies to --object snapshot only@.";
       exit 2
     end;
-    let params = Agreement.Params.make ~n:domains ~m ~k in
     Fmt.pr "object: agreement (Fig. 3 native, %s), chaos %s, seed %d, %d instances@."
       (Agreement.Params.to_string params)
       (Conform.Chaos.profile_name profile)
@@ -1006,19 +682,37 @@ let conform_cmd =
       & info [ "object" ] ~doc:"Object to audit: snapshot | agreement.")
   in
   let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"OCaml domains (= processes).")
+    Arg.(
+      value & opt (Cli.at_least 1) 4
+      & info [ "domains" ] ~doc:"OCaml domains (= processes).")
   in
+  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound (agreement).") in
+  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound (agreement).") in
+  (* the agreement object runs Figure 3 with n = --domains *)
+  let target obj n m k =
+    let p = { Agreement.Params.n; m; k } in
+    match obj with
+    | `Agreement -> Result.map (fun () -> (obj, n, p)) (Agreement.Params.validate p)
+    | `Snapshot -> Ok (obj, n, p)
+  in
+  let target = Term.(term_result' ~usage:true (const target $ obj $ domains $ m $ k)) in
   let components =
-    Arg.(value & opt int 4 & info [ "components" ] ~doc:"Snapshot components.")
+    Arg.(value & opt (Cli.at_least 1) 4 & info [ "components" ] ~doc:"Snapshot components.")
   in
   let ops =
     Arg.(value & opt int 12 & info [ "ops" ] ~doc:"Operations per domain per iteration.")
   in
   let chaos =
     Arg.(
-      value & opt string "calm"
+      value
+      & opt
+          (Cli.enum_of Conform.Chaos.profile_name Conform.Chaos.all_profiles)
+          Conform.Chaos.Calm
       & info [ "chaos" ]
-          ~doc:"Chaos profile: calm | yields | stalls | crashes | mixed.")
+          ~doc:
+            (Fmt.str "Chaos profile: %a."
+               Fmt.(list ~sep:(any " | ") string)
+               (List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles)))
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed (replayable).") in
   let iters =
@@ -1027,42 +721,29 @@ let conform_cmd =
   let mutant =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (Cli.enum_of (fun s -> s.Conform.Sut.name) Conform.Sut.all)) None
       & info [ "mutant" ] ~docv:"NAME"
           ~doc:
             "Audit a deliberately broken snapshot instead of the real one: \
              single-collect | torn-update.  The harness must reject it.")
   in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound (agreement).") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound (agreement).") in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
   in
   Cmd.v
-    (Cmd.info "conform" ~exits
+    (Cmd.info "conform" ~exits:Cli.exits
        ~doc:
          "Audit the native multicore layer: capture real histories, check real-time \
           linearizability (chaos injection, crash-pending completion), shrink failures \
           to 1-minimal witnesses")
     Term.(
-      const conform $ obj $ domains $ components $ ops $ chaos $ seed $ iters $ mutant
-      $ m $ k $ stats)
+      const conform $ target $ components $ ops $ chaos $ seed $ iters $ mutant $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
 
-let serve backend shards domains clients ops keys theta seed app_name batch
-    window params trace_out stats =
-  set_memory_backend backend;
-  let app =
-    match Service.App.by_name app_name with
-    | Some app -> app
-    | None ->
-      Fmt.epr "unknown app %S; valid: %s@." app_name
-        (String.concat " | "
-           (List.map (fun a -> a.Service.App.name) Service.App.all));
-      exit 2
-  in
+let serve shards domains clients ops keys theta seed app batch window params trace_out
+    stats =
   if window < batch then begin
     Fmt.epr "--window (%d) must be at least --batch (%d)@." window batch;
     exit 2
@@ -1109,10 +790,7 @@ let serve backend shards domains clients ops keys theta seed app_name batch
       (Service.Server.stats server);
   (match (trace_out, tr) with
   | Some out, Some tr ->
-    (try Obs.Chrome_trace.save out tr
-     with Sys_error e ->
-       Fmt.epr "--trace-out: %s@." e;
-       exit 2);
+    Cli.or_usage_error "trace-out" (fun () -> Obs.Chrome_trace.save out tr);
     Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out
   | _ -> ());
   match Service.Server.verdict server with
@@ -1127,16 +805,18 @@ let serve backend shards domains clients ops keys theta seed app_name batch
 
 let serve_cmd =
   let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Independent agreement shards.")
+    Arg.(
+      value & opt (Cli.at_least 1) 4
+      & info [ "shards" ] ~doc:"Independent agreement shards.")
   in
   let domains =
     Arg.(
-      value & opt int 2
+      value & opt (Cli.at_least 0) 2
       & info [ "domains" ]
           ~doc:"Worker domains stepping the shards; 0 = deterministic caller-pumped mode.")
   in
   let clients =
-    Arg.(value & opt int 32 & info [ "clients" ] ~doc:"Closed-loop clients.")
+    Arg.(value & opt (Cli.at_least 1) 32 & info [ "clients" ] ~doc:"Closed-loop clients.")
   in
   let ops =
     Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Commands per client.")
@@ -1152,20 +832,20 @@ let serve_cmd =
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed (replayable).") in
   let app_arg =
     Arg.(
-      value & opt string "register"
+      value
+      & opt (Cli.enum_of (fun a -> a.Service.App.name) Service.App.all) Service.App.register
       & info [ "app" ] ~doc:"Replicated application: register | counter.")
   in
   let batch =
-    Arg.(value & opt int 16 & info [ "batch" ] ~doc:"Max commands per agreement slot.")
+    Arg.(
+      value & opt (Cli.at_least 1) 16
+      & info [ "batch" ] ~doc:"Max commands per agreement slot.")
   in
   let window =
     Arg.(
       value & opt int 64
       & info [ "window" ] ~doc:"Per-shard in-flight window (backpressure bound).")
   in
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Replicas per shard.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Agreement bound.") in
   let trace_out =
     Arg.(
       value
@@ -1179,16 +859,15 @@ let serve_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the per-shard breakdown.")
   in
   Cmd.v
-    (Cmd.info "serve" ~exits
+    (Cmd.info "serve" ~exits:Cli.exits
        ~doc:
          "Serve a replicated application over sharded, batched repeated set \
           agreement: Zipfian closed-loop load, per-shard backpressure, and a \
           conformance verdict (validity + k-agreement + linearizability) at the \
           end.  Exits 1 if any shard fails its verdict.")
     Term.(
-      const serve $ memory_backend_arg $ at_least 1 "shards" shards $ domains
-      $ at_least 1 "clients" clients $ ops $ keys $ theta $ seed $ app_arg
-      $ at_least 1 "batch" batch $ window $ params_term n m k $ trace_out $ stats)
+      const serve $ shards $ domains $ clients $ ops $ keys $ theta $ seed $ app_arg $ batch
+      $ window $ Cli.nmk ~n:4 ~k:1 () $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `fuzz` subcommand: coverage-guided differential fuzzing of the
@@ -1200,7 +879,7 @@ let serve_cmd =
    stale cache from an older generator grammar should degrade, not
    break, and CI keys the cache on Fuzz.Gen.version anyway. *)
 let read_corpus path =
-  let ic = open_in path in
+  let ic = Cli.or_usage_error "corpus-in" (fun () -> open_in path) in
   let seeds = ref [] in
   let lineno = ref 0 in
   (try
@@ -1236,14 +915,14 @@ let fuzz_one ~budget ~seed ~corpus_in ~corpus_out oracle =
   Fmt.pr "%a@." Fuzz.Driver.pp_stats outcome.Fuzz.Driver.stats;
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      List.iter
-        (fun (e : Fuzz.Corpus.entry) ->
-          Printf.fprintf oc "%d | %s | %s\n" e.Fuzz.Corpus.credit
-            (Fuzz.Gen.to_string e.Fuzz.Corpus.program)
-            (Fuzz.Gen.schedule_to_string e.Fuzz.Corpus.schedule))
-        outcome.Fuzz.Driver.corpus;
-      close_out oc;
+      Cli.or_usage_error "corpus-out" (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              List.iter
+                (fun (e : Fuzz.Corpus.entry) ->
+                  Printf.fprintf oc "%d | %s | %s\n" e.Fuzz.Corpus.credit
+                    (Fuzz.Gen.to_string e.Fuzz.Corpus.program)
+                    (Fuzz.Gen.schedule_to_string e.Fuzz.Corpus.schedule))
+                outcome.Fuzz.Driver.corpus));
       Fmt.pr "corpus (%d entries) written to %s@."
         (List.length outcome.Fuzz.Driver.corpus)
         path)
@@ -1254,7 +933,7 @@ let fuzz_one ~budget ~seed ~corpus_in ~corpus_out oracle =
     Fmt.pr "%a@." Fuzz.Driver.pp_witness w;
     false
 
-let fuzz oracle_s budget seed corpus_in corpus_out mutants =
+let fuzz oracles budget seed corpus_in corpus_out mutants =
   if mutants then begin
     let results = Fuzz.Oracle.mutant_sweep ~budget ~seed in
     let ok =
@@ -1268,16 +947,6 @@ let fuzz oracle_s budget seed corpus_in corpus_out mutants =
     in
     exit (if ok then 0 else 1)
   end;
-  let oracles =
-    if String.lowercase_ascii oracle_s = "all" then Fuzz.Oracle.all
-    else
-      match Fuzz.Oracle.of_string oracle_s with
-      | Some o -> [ o ]
-      | None ->
-        Fmt.epr "unknown oracle %S; valid: all %s@." oracle_s
-          (String.concat " " (List.map Fuzz.Oracle.name Fuzz.Oracle.all));
-        exit 2
-  in
   let ok =
     List.fold_left
       (fun ok o -> fuzz_one ~budget ~seed ~corpus_in ~corpus_out o && ok)
@@ -1288,11 +957,17 @@ let fuzz oracle_s budget seed corpus_in corpus_out mutants =
 let fuzz_cmd =
   let oracle =
     Arg.(
-      value & opt string "all"
+      value
+      & opt
+          (enum
+             (("all", Fuzz.Oracle.all)
+             :: List.map (fun o -> (Fuzz.Oracle.name o, [ o ])) Fuzz.Oracle.all))
+          Fuzz.Oracle.all
       & info [ "oracle" ]
           ~doc:
-            "Differential oracle to judge inputs with: analyzer | backend | \
-             linearize | determinism | indep | optim | all.")
+            ("Differential oracle to judge inputs with: "
+            ^ String.concat " | " (List.map Fuzz.Oracle.name Fuzz.Oracle.all)
+            ^ " | all."))
   in
   let budget =
     Arg.(
@@ -1335,7 +1010,7 @@ let fuzz_cmd =
              analyzer and conformance mutant must be caught within the budget.")
   in
   Cmd.v
-    (Cmd.info "fuzz" ~exits
+    (Cmd.info "fuzz" ~exits:Cli.exits
        ~doc:
          "Coverage-guided differential fuzzing of the simulator stack: random \
           protocols + schedules, coverage feedback from state keys and analyzer \
@@ -1344,24 +1019,6 @@ let fuzz_cmd =
     Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out $ mutants)
 
 let cmd =
-  let algo =
-    Arg.(value & opt algo_conv One_shot & info [ "algo"; "a" ] ~doc:"Algorithm to run.")
-  in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
-  let impl =
-    Arg.(value & opt impl_conv `Atomic & info [ "impl" ] ~doc:"Snapshot implementation.")
-  in
-  let sched =
-    Arg.(
-      value & opt string "quantum:300"
-      & info [ "sched"; "s" ]
-          ~doc:
-            "Scheduler: round-robin | quantum[:Q] | random[:SEED] | solo:P | \
-             m-bounded:SEED[:M].")
-  in
-  let rounds = Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).") in
   let trace = Arg.(value & flag & info [ "trace"; "t" ] ~doc:"Print the full trace.") in
   let diagram =
     Arg.(value & flag & info [ "diagram"; "d" ] ~doc:"Print a space-time diagram.")
@@ -1376,34 +1033,6 @@ let cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:"Stream the event trace to $(docv) as JSONL, one event per line.")
   in
-  let max_steps =
-    Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget.")
-  in
-  let registers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "registers" ] ~docv:"R"
-          ~doc:
-            "Override the register budget (components) of the instance.  Fewer than \
-             n+2m-k voids the correctness argument — that is the point: combine with \
-             --explore to exhibit violations of register-starved instances.")
-  in
-  let explore =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explore" ] ~docv:"ENGINE:DEPTH"
-          ~doc:
-            "Model-check over all schedules up to DEPTH instead of running one \
-             schedule: naive:DEPTH | dpor:DEPTH | dpor-nocache:DEPTH.  Exits 1 on a \
-             violation.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
-  in
   let shrink =
     Arg.(
       value & flag
@@ -1411,15 +1040,11 @@ let cmd =
           ~doc:"Minimize the counterexample schedule found by --explore before printing.")
   in
   Cmd.group
-    ~default:
-      Term.(
-        const run $ memory_backend_arg $ algo $ params_term n m k $ impl $ sched $ rounds
-        $ trace $ diagram $ stats $ trace_out $ max_steps $ registers $ explore $ jobs
-        $ shrink)
-    (Cmd.info "sa_run" ~exits
+    ~default:Term.(const run $ Cli.scenario $ trace $ diagram $ stats $ trace_out $ shrink)
+    (Cmd.info "sa_run" ~exits:Cli.exits
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, or audit the native \
           layer with `conform'")
     [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd ]
 
-let () = exit (Cmd.eval ~term_err:2 cmd)
+let () = Cli.eval cmd

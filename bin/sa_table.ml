@@ -46,9 +46,11 @@ let print_table n =
   done
 
 let cmd =
-  let n = Arg.(value & opt int 6 & info [ "n" ] ~doc:"Number of processes.") in
+  let n = Arg.(value & opt (Cli.at_least 2) 6 & info [ "n" ] ~doc:"Number of processes.") in
   Cmd.v
-    (Cmd.info "sa_table" ~doc:"Print the Figure 1 bounds table with measurements")
+    (Cmd.info "sa_table"
+       ~exits:(Cmd.Exit.info 0 ~doc:"on success." :: Cli.usage_exits)
+       ~doc:"Print the Figure 1 bounds table with measurements")
     Term.(const print_table $ n)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

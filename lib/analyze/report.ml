@@ -85,6 +85,7 @@ let row_to_json r =
   let { Agreement.Params.n; m; k } = r.params in
   Obs.Json.Obj
     [
+      ("kind", Obs.Json.String "sweep");
       ("algo", Obs.Json.String r.algo);
       ("n", Obs.Json.Int n);
       ("m", Obs.Json.Int m);
@@ -109,6 +110,23 @@ let row_to_json r =
              (List.filter (fun (d : Lint.diag) -> d.severity <> Lint.Info)
                 r.diags)) );
     ]
+
+let mutant_to_json (p : Agreement.Params.t) (mu : Mutants.mutant) =
+  Obs.Json.Obj
+    [
+      ("kind", Obs.Json.String "mutant");
+      ("algo", Obs.Json.String mu.name);
+      ("n", Obs.Json.Int p.n);
+      ("m", Obs.Json.Int p.m);
+      ("k", Obs.Json.Int p.k);
+      ("rejected", Obs.Json.Bool (Mutants.rejected mu p));
+    ]
+
+let json_rows ?mutants rows =
+  List.map row_to_json rows
+  @ match mutants with
+    | None -> []
+    | Some p -> List.map (mutant_to_json p) Mutants.all
 
 let pp_header ppf () =
   Fmt.pf ppf "%-10s %-12s %4s %6s %7s %7s %5s %s" "algo" "(n,m,k)" "regs"

@@ -48,9 +48,12 @@ val sweep :
 
 val violations : row list -> row list
 
-(** One row as a [BENCH_analyze.json] row object (diagnostics included
-    as structured objects). *)
-val row_to_json : row -> Obs.Json.t
+(** The [BENCH_analyze.json] rows, as [bench table analyze] and
+    [sa_run analyze --json] write them: one [kind: "sweep"] object per
+    row (diagnostics included as structured objects), then, with
+    [~mutants:p], one [kind: "mutant"] object per {!Mutants.all} entry
+    ([algo], [n], [m], [k], [rejected]) judged at [p]. *)
+val json_rows : ?mutants:Agreement.Params.t -> row list -> Obs.Json.t list
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -56,12 +56,6 @@ type engine = Interp | Vm
 
 let engine_name = function Interp -> "interp" | Vm -> "vm"
 
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "interp" | "interpreter" -> Some Interp
-  | "vm" | "bytecode" -> Some Vm
-  | _ -> None
-
 type proto_result = {
   steps : int;
   stopped : Exec.stop_reason;

@@ -72,9 +72,6 @@ type engine = Interp | Vm
 
 val engine_name : engine -> string
 
-(** ["interp"]/["interpreter"] or ["vm"]/["bytecode"]. *)
-val engine_of_string : string -> engine option
-
 type proto_result = {
   steps : int;
   stopped : Shm.Exec.stop_reason;

@@ -83,7 +83,7 @@ val oob_steps : program -> step list
 val compile : program -> pid:int -> Shm.Program.t
 
 (** Initial configuration: [registers] registers, [n] compiled
-    processes.  [backend] defaults to {!Shm.Memory.get_default}. *)
+    processes.  [backend] defaults to [Journaled]. *)
 val config : ?backend:Shm.Memory.backend -> program -> Shm.Config.t
 
 (** The input of every fuzzed invocation:

@@ -15,17 +15,6 @@ let name = function
   | Optim -> "optim"
   | Vm -> "vm"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "analyzer" | "absint" -> Some Analyzer
-  | "backend" | "memory" -> Some Backend
-  | "linearize" | "lin" -> Some Linearize
-  | "determinism" | "det" -> Some Determinism
-  | "indep" | "independence" -> Some Indep
-  | "optim" | "optimizer" -> Some Optim
-  | "vm" | "bytecode" -> Some Vm
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* (a) Analyzer soundness: every dynamically written register is in the
    static write footprint.  Exhaustive budgets make the analysis exact

@@ -45,7 +45,6 @@ type kind = Analyzer | Backend | Linearize | Determinism | Indep | Optim | Vm
 
 val all : kind list
 val name : kind -> string
-val of_string : string -> kind option
 
 (** [check kind program schedule] — [Some message] iff the oracle sees
     a divergence. *)

@@ -43,4 +43,3 @@ let register =
   }
 
 let all = [ counter; register ]
-let by_name name = List.find_opt (fun a -> a.name = name) all

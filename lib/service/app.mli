@@ -30,4 +30,3 @@ val counter : t
 val register : t
 
 val all : t list
-val by_name : string -> t option

@@ -51,20 +51,6 @@ type backend = Persistent | Journaled
 
 let backend_name = function Persistent -> "persistent" | Journaled -> "journal"
 
-let backend_of_string = function
-  | "persistent" | "map" -> Some Persistent
-  | "journal" | "journaled" -> Some Journaled
-  | _ -> None
-
-(* The process-wide default backend, set once at startup (sa_run
-   --memory-backend); reads during simulation are race-free because
-   every create call site runs after CLI parsing. *)
-let default = Atomic.make Journaled
-
-let set_default b = Atomic.set default b
-
-let get_default () = Atomic.get default
-
 (* ---- journaled versions ---- *)
 
 type version = cell ref
@@ -112,9 +98,8 @@ type t = {
   read_count : int;        (* total number of read steps (scan = len reads) *)
 }
 
-let create ?backend size =
+let create ?(backend = Journaled) size =
   if size < 0 then invalid_arg "Memory.create: negative size";
-  let backend = match backend with Some b -> b | None -> Atomic.get default in
   let repr =
     match backend with
     | Persistent -> Pmap Imap.empty

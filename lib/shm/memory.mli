@@ -22,18 +22,10 @@ type backend = Persistent | Journaled
 
 val backend_name : backend -> string
 
-(** Recognizes ["persistent"]/["map"] and ["journal"]/["journaled"]. *)
-val backend_of_string : string -> backend option
-
-(** Process-wide default backend used by {!create} when no explicit
-    [?backend] is given.  Initially [Journaled]; set once at startup
-    (e.g. from [sa_run --memory-backend]). *)
-val set_default : backend -> unit
-
-val get_default : unit -> backend
-
 (** [create ?backend size] allocates registers [0 .. size-1], all
-    holding ⊥. *)
+    holding ⊥, in [backend] (default [Journaled]; [Persistent] is the
+    reference the backend tests and the [backend] fuzz oracle compare
+    against). *)
 val create : ?backend:backend -> int -> t
 
 (** The backend this memory was created with. *)

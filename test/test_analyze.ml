@@ -204,6 +204,49 @@ let sweep_checks_three_containments () =
     (r.Analyze.Report.dynamic_writes <= r.Analyze.Report.static_writes
     && r.Analyze.Report.static_writes <= r.Analyze.Report.bound)
 
+(* The BENCH_analyze.json rows both writers share ([bench table
+   analyze] and [sa_run analyze --json]): sweep rows first, then one
+   mutant row per seeded mutant, each with this ordered key list. *)
+let json_rows_pinned () =
+  let p = params ~n:4 ~m:1 ~k:2 in
+  let rows =
+    Analyze.Registry.all
+    |> List.filter (fun (e : Analyze.Registry.entry) -> e.applicable p)
+    |> List.map (fun e -> Analyze.Report.row_for ~dynamic:false e p)
+  in
+  let keys = function
+    | Obs.Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "row is not an object"
+  in
+  let kind row = Obs.Json.to_string_opt (Option.get (Obs.Json.member "kind" row)) in
+  let sweep_keys =
+    [
+      "kind"; "algo"; "n"; "m"; "k"; "registers"; "bound"; "bound_label"; "static_writes";
+      "static_reads"; "dynamic_writes"; "static_within_bound"; "dynamic_within_static";
+      "lint_errors"; "converged"; "widened"; "passes"; "steps"; "ok"; "diags";
+    ]
+  in
+  let mutant_keys = [ "kind"; "algo"; "n"; "m"; "k"; "rejected" ] in
+  let json = Analyze.Report.json_rows ~mutants:p rows in
+  Alcotest.(check int) "one row per report row and mutant"
+    (List.length rows + List.length Analyze.Mutants.all)
+    (List.length json);
+  List.iteri
+    (fun i row ->
+      if i < List.length rows then begin
+        Alcotest.(check (option string)) "sweep kind" (Some "sweep") (kind row);
+        Alcotest.(check (list string)) "sweep keys" sweep_keys (keys row)
+      end
+      else begin
+        Alcotest.(check (option string)) "mutant kind" (Some "mutant") (kind row);
+        Alcotest.(check (list string)) "mutant keys" mutant_keys (keys row);
+        Alcotest.(check (option string)) "mutants are rejected" (Some "true")
+          (Some (Obs.Json.to_string (Option.get (Obs.Json.member "rejected" row))))
+      end)
+    json;
+  Alcotest.(check int) "no mutant rows without ~mutants" (List.length rows)
+    (List.length (Analyze.Report.json_rows rows))
+
 (* ---- mutation tests ---- *)
 
 let mutant_oob_rejected_with_witness () =
@@ -665,4 +708,5 @@ let suite =
     test "oracle: independence soundness on 120 protocols"
       (oracle_sweep Fuzz.Oracle.Indep 120);
     to_alcotest prop_static_indep_commutes;
+    test "report: BENCH_analyze.json rows pinned" json_rows_pinned;
   ]
