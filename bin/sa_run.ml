@@ -971,8 +971,8 @@ let fuzz_cmd =
   in
   let budget =
     Arg.(
-      value & opt int 200
-      & info [ "budget" ] ~doc:"Inputs to generate and judge (executions).")
+      value & opt (Cli.at_least 1) 200
+      & info [ "budget" ] ~doc:"Inputs to generate and judge (executions); at least 1.")
   in
   let seed =
     Arg.(

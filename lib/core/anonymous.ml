@@ -110,9 +110,13 @@ let program ~params ~api ~h_reg =
     let t = t + 1 in
     if List.length history >= t then
       Program.yield (nth_output history t) (next_propose api i t history)
-    else par (thread1 api v i t history) (thread2 api i t history)
-  and thread1 (api : Snapshot.Snap_api.t) pref i t history =
-    api.update i (encode { pref; t; history }) @@ fun api ->
+    else
+      let own = encode { pref = v; t; history } in
+      par (thread1 api v own i t history) (thread2 api i t history)
+  and thread1 (api : Snapshot.Snap_api.t) pref own i t history =
+    (* [own] is the stored (pref, t, history), re-encoded only when
+       adoption changes pref *)
+    api.update i own @@ fun api ->
     api.scan @@ fun api view ->
     match find_higher ~t view with
     | Some tu ->
@@ -120,12 +124,12 @@ let program ~params ~api ~h_reg =
     | None -> (
       match decide_check ~m ~t view with
       | Some w -> Program.yield w (next_propose api i t (history @ [ w ]))
-      | None ->
-        let pref =
-          match adoption ~ell ~t ~pref view with Some w -> w | None -> pref
-        in
+      | None -> (
         (* Line 29: i advances every iteration (unlike Figs. 3–4). *)
-        thread1 api pref ((i + 1) mod r) t history)
+        let i = (i + 1) mod r in
+        match adoption ~ell ~t ~pref view with
+        | Some w -> thread1 api w (encode { pref = w; t; history }) i t history
+        | None -> thread1 api pref own i t history))
   and thread2 (api : Snapshot.Snap_api.t) i t history =
     Program.read h_reg @@ fun h ->
     let hs = decode_h h in

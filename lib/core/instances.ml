@@ -16,12 +16,15 @@ let impl_name = function
   | Double_collect -> "double-collect"
   | Sw_based -> "sw-based"
 
-(* API + total raw registers for one process. *)
-let api_for impl ~r ~n ~pid =
+(* The per-process snapshot APIs, by pid.  The atomic object keeps no
+   per-process state, so every process shares one API value. *)
+let apis impl ~r ~n =
   match impl with
-  | Atomic -> (Snapshot.Atomic.make ~off:0 ~len:r, r)
-  | Double_collect -> (Snapshot.Double_collect.make ~off:0 ~len:r ~pid (), r)
-  | Sw_based -> (Snapshot.Mw_from_sw.make ~off:0 ~n ~components:r ~pid, n)
+  | Atomic ->
+    let api = Snapshot.Atomic.make ~off:0 ~len:r in
+    fun _pid -> api
+  | Double_collect -> fun pid -> Snapshot.Double_collect.make ~off:0 ~len:r ~pid ()
+  | Sw_based -> fun pid -> Snapshot.Mw_from_sw.make ~off:0 ~n ~components:r ~pid
 
 let registers_for impl ~r ~n =
   match impl with Atomic | Double_collect -> r | Sw_based -> n
@@ -36,33 +39,24 @@ let space_optimal_impl (p : Params.t) =
 let oneshot ?r ?(impl = Atomic) ?backend (p : Params.t) =
   let r = Option.value r ~default:(Params.r_oneshot p) in
   let n = p.Params.n in
-  let procs =
-    Array.init n (fun pid ->
-        let api, _ = api_for impl ~r ~n ~pid in
-        Oneshot.program ~m:p.Params.m ~pid ~api)
-  in
+  let api = apis impl ~r ~n in
+  let procs = Array.init n (fun pid -> Oneshot.program ~m:p.Params.m ~pid ~api:(api pid)) in
   Shm.Config.create ?backend ~registers:(registers_for impl ~r ~n) ~procs ()
 
 (* Repeated instances (Figure 4). *)
 let repeated ?r ?(impl = Atomic) ?backend (p : Params.t) =
   let r = Option.value r ~default:(Params.r_oneshot p) in
   let n = p.Params.n in
-  let procs =
-    Array.init n (fun pid ->
-        let api, _ = api_for impl ~r ~n ~pid in
-        Repeated.program ~m:p.Params.m ~pid ~api)
-  in
+  let api = apis impl ~r ~n in
+  let procs = Array.init n (fun pid -> Repeated.program ~m:p.Params.m ~pid ~api:(api pid)) in
   Shm.Config.create ?backend ~registers:(registers_for impl ~r ~n) ~procs ()
 
 (* DFGR'13 baseline (one-shot, m = 1, 2(n−k) registers). *)
 let baseline ?(impl = Atomic) ?backend (p : Params.t) =
   let n = p.Params.n and k = p.Params.k in
   let r = Baseline_dfgr13.components ~n ~k in
-  let procs =
-    Array.init n (fun pid ->
-        let api, _ = api_for impl ~r ~n ~pid in
-        Baseline_dfgr13.program ~n ~k ~pid ~api)
-  in
+  let api = apis impl ~r ~n in
+  let procs = Array.init n (fun pid -> Baseline_dfgr13.program ~n ~k ~pid ~api:(api pid)) in
   Shm.Config.create ?backend ~registers:(registers_for impl ~r ~n) ~procs ()
 
 (* Anonymous one-shot instances (Section 6, closing remark: no H, no
@@ -74,15 +68,15 @@ let anonymous_oneshot ?r ?slots ?(anonymous_collect = false) ?(seed = 0xA71)
     ?backend (p : Params.t) =
   let r = Option.value r ~default:(Params.r_anonymous p) in
   let slots = Option.value slots ~default:p.Params.n in
+  let atomic = Snapshot.Atomic.make ~off:0 ~len:r in
   let procs =
     Array.init slots (fun pid ->
         let api =
           if anonymous_collect then
             Snapshot.Double_collect.make_anonymous ~off:0 ~len:r ~seed:(seed + (104729 * pid)) ()
-          else Snapshot.Atomic.make ~off:0 ~len:r
+          else atomic
         in
-        Anonymous_oneshot.program ~params:p ~api)
-  in
+        Anonymous_oneshot.program ~params:p ~api) in
   Shm.Config.create ?backend ~registers:r ~procs ()
 
 (* Anonymous repeated instances (Figure 5): r components + register H.
@@ -94,13 +88,13 @@ let anonymous ?r ?(anonymous_collect = false) ?(seed = 0xA70) ?backend (p : Para
   let r = Option.value r ~default:(Params.r_anonymous p) in
   let n = p.Params.n in
   let h_reg = r in
+  let atomic = Snapshot.Atomic.make ~off:0 ~len:r in
   let procs =
     Array.init n (fun pid ->
         let api =
           if anonymous_collect then
             Snapshot.Double_collect.make_anonymous ~off:0 ~len:r ~seed:(seed + (7919 * pid)) ()
-          else Snapshot.Atomic.make ~off:0 ~len:r
+          else atomic
         in
-        Anonymous.program ~params:p ~api ~h_reg)
-  in
+        Anonymous.program ~params:p ~api ~h_reg) in
   Shm.Config.create ?backend ~registers:(r + 1) ~procs ()

@@ -13,8 +13,9 @@ type impl =
 
 val impl_name : impl -> string
 
-(** Per-process snapshot API plus total raw register count. *)
-val api_for : impl -> r:int -> n:int -> pid:int -> Snapshot.Snap_api.t * int
+(** The per-process snapshot APIs, by pid; {!Atomic} processes share
+    one API value (the object keeps no per-process state). *)
+val apis : impl -> r:int -> n:int -> int -> Snapshot.Snap_api.t
 
 val registers_for : impl -> r:int -> n:int -> int
 

@@ -27,7 +27,7 @@ let value_of_pair = Value.fst
    may have none, in which case entry 0 is output — still one of the
    scanned values, so Validity is unaffected. *)
 let decide_check ~m view =
-  if View.distinct_count view <= m && not (View.contains_bot view) then
+  if (not (View.contains_bot view)) && View.distinct_count view <= m then
     match View.min_duplicate_index view with
     | Some j -> Some (value_of_pair view.(j))
     | None -> Some (value_of_pair view.(0))
@@ -46,60 +46,55 @@ let decide_check ~m view =
    unaffected: pref still only ever becomes the value of a duplicated
    pair, and the new increment path spreads a pref that equals a
    duplicated pair's value, which after C0 lies in V by Lemma 4's
-   induction.  See EXPERIMENTS.md, "pseudocode errata". *)
-let adopt_check ~pid ~pref ~i view =
-  let own = pair ~pref ~pid in
-  let foreign j v = j = i || ((not (Value.is_bot v)) && not (Value.equal v own)) in
-  let all_foreign =
-    let ok = ref true in
-    Array.iteri (fun j v -> if not (foreign j v) then ok := false) view;
-    !ok
+   induction.  See EXPERIMENTS.md, "pseudocode errata".
+
+   [own] is the process's stored pair (pref, pid); [literal] selects
+   the rule exactly as printed, kept only so the erratum is executable:
+   the regression test in test_errata.ml shows a solo process
+   livelocking under it, which the repaired rule cannot. *)
+let adopt_rule ~literal ~own ~pref ~i view =
+  let r = Array.length view in
+  let rec all_foreign j =
+    j >= r
+    || (j = i || not (Value.is_bot view.(j) || Value.equal view.(j) own))
+       && all_foreign (j + 1)
   in
-  if all_foreign then
+  if all_foreign 0 then
     match View.min_duplicate_index view with
     | Some j ->
       let w = value_of_pair view.(j) in
-      if Value.equal w pref then None else Some w
+      if (not literal) && Value.equal w pref then None else Some w
     | None -> None
   else None
 
-(* Lines 11–13 exactly as printed in the paper — pref ← value(s[j1])
-   even when that value equals pref.  Kept only so the erratum is
-   executable: the regression test in test_errata.ml shows a solo
-   process livelocking under this rule, which the repaired
-   [adopt_check] above cannot. *)
+let adopt_check ~pid ~pref ~i view =
+  adopt_rule ~literal:false ~own:(pair ~pref ~pid) ~pref ~i view
+
 let adopt_check_paper_literal ~pid ~pref ~i view =
-  let own = pair ~pref ~pid in
-  let foreign j v = j = i || ((not (Value.is_bot v)) && not (Value.equal v own)) in
-  let all_foreign =
-    let ok = ref true in
-    Array.iteri (fun j v -> if not (foreign j v) then ok := false) view;
-    !ok
-  in
-  if all_foreign then
-    match View.min_duplicate_index view with
-    | Some j -> Some (value_of_pair view.(j))
-    | None -> None
-  else None
+  adopt_rule ~literal:true ~own:(pair ~pref ~pid) ~pref ~i view
 
 (* The body of Propose(v); [finish w] builds what the process does after
    outputting w (Stop for one-shot; the repeated algorithm of Figure 4
    has its own, richer loop and does not reuse this body).  [adopt]
-   selects the adoption rule; the repaired one is the default. *)
-let propose ?(adopt = adopt_check) ~m ~pid ~(api : Snapshot.Snap_api.t) v ~finish () =
+   selects the adoption rule; the repaired one is the default.  The
+   stored pair is built once per preference: the i loop writes the same
+   value. *)
+let propose ?(adopt = `Repaired) ~m ~pid ~(api : Snapshot.Snap_api.t) v ~finish () =
   let r = api.Snapshot.Snap_api.components in
-  let rec loop (api : Snapshot.Snap_api.t) pref i =
-    api.update i (pair ~pref ~pid) @@ fun api ->
+  let literal = (match adopt with `Paper_literal -> true | `Repaired -> false)
+  and id = Value.int pid in
+  let rec loop (api : Snapshot.Snap_api.t) pref own i =
+    api.update i own @@ fun api ->
     api.scan @@ fun api view ->
     match decide_check ~m view with
     | Some w -> Program.yield w (finish w)
     | None -> (
-      match adopt ~pid ~pref ~i view with
-      | Some w when not (Value.equal w pref) -> loop api w i
-      | Some _ -> loop api pref i  (* literal rule: "adopt" same value, keep i *)
-      | None -> loop api pref ((i + 1) mod r))
+      match adopt_rule ~literal ~own ~pref ~i view with
+      | Some w when not (Value.equal w pref) -> loop api w (Value.pair w id) i
+      | Some _ -> loop api pref own i  (* literal rule: "adopt" same value, keep i *)
+      | None -> loop api pref own ((i + 1) mod r))
   in
-  loop api v 0
+  loop api v (Value.pair v id) 0
 
 (* The full one-shot process program: await the single invocation, run
    Propose, halt. *)
@@ -110,6 +105,4 @@ let program ~m ~pid ~api =
    regression test only). *)
 let program_paper_literal ~m ~pid ~api =
   Program.await (fun v ->
-      propose ~adopt:adopt_check_paper_literal ~m ~pid ~api v
-        ~finish:(fun _ -> Program.stop)
-        ())
+      propose ~adopt:`Paper_literal ~m ~pid ~api v ~finish:(fun _ -> Program.stop) ())

@@ -25,10 +25,10 @@ val adopt_check_paper_literal :
   pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
 
 (** The body of Propose(v); [finish w] is what runs after outputting.
-    [adopt] selects the adoption rule (repaired one by default). *)
+    [adopt] selects the adoption rule: [`Repaired] (the default) is
+    {!adopt_check}, [`Paper_literal] is {!adopt_check_paper_literal}. *)
 val propose :
-  ?adopt:
-    (pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option) ->
+  ?adopt:[ `Repaired | `Paper_literal ] ->
   m:int ->
   pid:int ->
   api:Snapshot.Snap_api.t ->

@@ -7,34 +7,33 @@
 
 open Shm
 
-(* Number of distinct entries |{s[j] : 0 ≤ j < r}|. *)
+(* Number of distinct entries |{s[j] : 0 ≤ j < r}|: the entries with no
+   equal entry before them.  Quadratic in r, but r is a handful of
+   components; the loops allocate nothing (this runs on every scan). *)
 let distinct_count view =
-  let rec add seen v =
-    match seen with
-    | [] -> [ v ]
-    | w :: _ when Value.equal w v -> seen
-    | w :: rest -> w :: add rest v
-  in
-  List.length (Array.fold_left add [] view)
+  let count = ref 0 in
+  for j = 0 to Array.length view - 1 do
+    let before = ref 0 in
+    while !before < j && not (Value.equal view.(!before) view.(j)) do incr before done;
+    if !before = j then incr count
+  done;
+  !count
 
 let contains_bot view = Array.exists Value.is_bot view
+
+(* ∃ j2 > j1 such that s[j1] = s[j2]. *)
+let duplicated_later view j1 =
+  let r = Array.length view and j2 = ref (j1 + 1) in
+  while !j2 < r && not (Value.equal view.(j1) view.(!j2)) do incr j2 done;
+  !j2 < r
 
 (* min{j1 : ∃ j2 > j1 such that s[j1] = s[j2]} — the index the paper
    uses to pick a duplicated entry deterministically (Fig. 3 line 10,
    Fig. 4 line 18). *)
-let min_duplicate_index ?(eligible = fun _ -> true) view =
+let min_duplicate_index view =
   let r = Array.length view in
   let rec outer j1 =
-    if j1 >= r then None
-    else if
-      eligible view.(j1)
-      &&
-      let rec inner j2 =
-        j2 < r && (Value.equal view.(j1) view.(j2) || inner (j2 + 1))
-      in
-      inner (j1 + 1)
-    then Some j1
-    else outer (j1 + 1)
+    if j1 >= r then None else if duplicated_later view j1 then Some j1 else outer (j1 + 1)
   in
   outer 0
 

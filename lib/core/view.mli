@@ -7,13 +7,14 @@ val distinct_count : Shm.Value.t array -> int
 
 val contains_bot : Shm.Value.t array -> bool
 
-(** min\{j1 : ∃ j2 > j1 such that s\[j1\] = s\[j2\]\} — the index both
-    Figure 3 (line 12) and Figure 4 (line 23) use to pick a duplicated
-    entry deterministically.  [eligible] restricts which entries may
-    serve as the j1 candidate (Figure 4 requires duplicated
-    {e t-tuples}). *)
-val min_duplicate_index :
-  ?eligible:(Shm.Value.t -> bool) -> Shm.Value.t array -> int option
+(** [duplicated_later s j1]: ∃ j2 > j1 such that s\[j1\] = s\[j2\]. *)
+val duplicated_later : Shm.Value.t array -> int -> bool
+
+(** min\{j1 : ∃ j2 > j1 such that s\[j1\] = s\[j2\]\} — the index
+    Figure 3 (lines 10 and 12) and Figure 4 (line 18) use to pick a
+    duplicated entry deterministically.  Figure 4's adoption (line 23)
+    takes the minimum over t-tuples only, with {!duplicated_later}. *)
+val min_duplicate_index : Shm.Value.t array -> int option
 
 (** Number of entries satisfying the predicate. *)
 val count : (Shm.Value.t -> bool) -> Shm.Value.t array -> int

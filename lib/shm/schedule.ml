@@ -38,8 +38,7 @@ let round_robin n =
 
 (* Round-robin with quantum [q]: each process takes q consecutive steps
    before the cursor advances.  Large quanta approximate solo runs. *)
-let quantum_round_robin ~quantum n =
-  if quantum <= 0 then invalid_arg "Schedule.quantum_round_robin: quantum must be positive";
+let quantum_rr ~name ~quantum n =
   let cursor = ref 0 and left = ref quantum in
   (* closure-free probe loop: this runs on every simulator step
      (frontier completions included), up to n probes per step *)
@@ -59,7 +58,16 @@ let quantum_round_robin ~quantum n =
     done;
     if !found < 0 then None else Some !found
   in
-  { name = Fmt.str "round-robin/q=%d" quantum; next }
+  { name; next }
+
+let quantum_round_robin ~quantum n =
+  if quantum <= 0 then invalid_arg "Schedule.quantum_round_robin: quantum must be positive";
+  quantum_rr ~name:(Fmt.str "round-robin/q=%d" quantum) ~quantum n
+
+(* The model checkers' completion rule: long solo bursts (q = 2000).
+   Built once per explored leaf, so its name is a constant rather than
+   formatted per construction. *)
+let completion n = quantum_rr ~name:"completion" ~quantum:2000 n
 
 (* Only [pid] ever runs: the solo executions of obstruction-freedom. *)
 let solo pid =

@@ -31,6 +31,11 @@ val round_robin : int -> t
     into a termination guarantee. *)
 val quantum_round_robin : quantum:int -> int -> t
 
+(** The completion rule of the model checkers: {!quantum_round_robin}
+    with quantum 2000, under the constant name ["completion"] (it is
+    built once per explored leaf, so its name is not formatted). *)
+val completion : int -> t
+
 (** Only [pid] ever runs — the solo executions of obstruction-freedom. *)
 val solo : int -> t
 

@@ -642,18 +642,24 @@ type final = {
   outputs : (int * int * Value.t) list;
 }
 
+(* The (pid, instance, value) records of the input or output log at
+   offset [o], in (instance, pid) order. *)
+let io_log e st base o =
+  let c = e.c in
+  let acc = ref [] in
+  for inst = e.rounds downto 1 do
+    for pid = c.n - 1 downto 0 do
+      let k = st.(base + o + ((inst - 1) * c.n) + pid) in
+      if k <> no_input then acc := (pid, inst, decode c k) :: !acc
+    done
+  done;
+  !acc
+
+let inputs e st base = io_log e st base e.o_inlog
+let outputs e st base = io_log e st base e.o_outlog
+
 let snapshot e st base =
   let c = e.c in
-  let io o =
-    let acc = ref [] in
-    for inst = e.rounds downto 1 do
-      for pid = c.n - 1 downto 0 do
-        let k = st.(base + o + ((inst - 1) * c.n) + pid) in
-        if k <> no_input then acc := (pid, inst, decode c k) :: !acc
-      done
-    done;
-    !acc
-  in
   {
     memory = Array.init c.registers (fun r -> decode c st.(base + r));
     written =
@@ -663,8 +669,8 @@ let snapshot e st base =
     num_written = st.(base + e.o_scal + s_nwritten);
     write_count = st.(base + e.o_scal + s_wcount);
     read_count = st.(base + e.o_scal + s_rcount);
-    inputs = io e.o_inlog;
-    outputs = io e.o_outlog;
+    inputs = inputs e st base;
+    outputs = outputs e st base;
   }
 
 (* ------------------------------------------------------------------ *)

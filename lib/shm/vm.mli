@@ -170,6 +170,13 @@ type final = {
 
 val snapshot : env -> int array -> int -> final
 
+(** [(snapshot e st base).inputs] alone, without decoding the memory:
+    with {!outputs}, all a property check reads. *)
+val inputs : env -> int array -> int -> (int * int * Value.t) list
+
+(** [(snapshot e st base).outputs] alone. *)
+val outputs : env -> int array -> int -> (int * int * Value.t) list
+
 (** Event-free in-place driver mirroring [Exec.run]'s loop (fuel check
     before each scheduler probe): returns steps taken and why it
     stopped. *)

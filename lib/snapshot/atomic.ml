@@ -3,13 +3,23 @@
    specified against; its register footprint is exactly the component
    count, which is what Figure 1's upper bounds report. *)
 
-let rec make ~off ~len : Snap_api.t =
+(* The object holds no local state, so every continuation receives the
+   same API value, built once and tied to itself through a cell.  A
+   [let rec] over the record of closures would compile to a dummy block
+   patched afterwards, which made building a configuration about twice
+   as slow. *)
+let unset : Snap_api.t =
+  { components = 0; update = (fun _ _ _ -> assert false); scan = (fun _ -> assert false) }
+
+let make ~off ~len : Snap_api.t =
+  let self = ref unset in
   let update i v k =
     if i < 0 || i >= len then invalid_arg "Atomic.update: component out of range";
-    Shm.Program.write (off + i) v (fun () -> k (make ~off ~len))
+    Shm.Program.write (off + i) v (fun () -> k !self)
   in
-  let scan k = Shm.Program.scan ~off ~len (fun view -> k (make ~off ~len) view) in
-  { Snap_api.components = len; update; scan }
+  let scan k = Shm.Program.scan ~off ~len (fun view -> k !self view) in
+  self := { Snap_api.components = len; update; scan };
+  !self
 
 let footprint ~len =
   {

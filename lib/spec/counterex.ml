@@ -40,8 +40,7 @@ let step_pid ~inputs config pid =
 (* Drive [config] to quiescence deterministically (long solo bursts),
    the completion rule of the model checkers. *)
 let complete ~inputs ~max_steps config =
-  let n = Config.n config in
-  let sched = Schedule.quantum_round_robin ~quantum:2000 n in
+  let sched = Schedule.completion (Config.n config) in
   (Exec.run ~sched ~inputs ~max_steps config).Exec.config
 
 (* Tolerant replay: steps the schedule's pids in order, skipping any

@@ -61,33 +61,6 @@ let alloc a =
     a.top <- a.top + 1;
     a.top - 1
 
-(* [Counterex.complete]'s rule (quantum round-robin, q = 2000) with a
-   constant name — [Schedule.quantum_round_robin]'s name is formatted
-   per construction, too costly for a per-leaf object. *)
-let completion_sched n =
-  let quantum = 2000 in
-  let cursor = ref 0 and left = ref quantum in
-  let next ~step:_ ~runnable =
-    if !left = 0 then begin
-      cursor := (!cursor + 1) mod n;
-      left := quantum
-    end;
-    let tried = ref 0 and found = ref (-1) in
-    while !found < 0 && !tried < n do
-      if runnable !cursor then begin
-        decr left;
-        found := !cursor
-      end
-      else begin
-        cursor := (!cursor + 1) mod n;
-        left := quantum;
-        incr tried
-      end
-    done;
-    if !found < 0 then None else Some !found
-  in
-  { Schedule.name = "completion"; next }
-
 (* Footprint triples from [Vm.poised_footprint]: (reads_off, reads_len,
    write_reg), -1 for none.  Independent iff neither writes a register
    the other touches — [Shm.Program.independent] on int triples. *)
@@ -145,13 +118,12 @@ module Instance = struct
       else begin
         Array.blit c.a.buf (base c s) c.scratch 0 c.a.words;
         ignore
-          (Vm.drive c.e c.scratch 0 ~sched:(completion_sched c.n)
+          (Vm.drive c.e c.scratch 0 ~sched:(Schedule.completion c.n)
              ~max_steps:c.completion_steps);
         (c.scratch, 0)
       end
     in
-    let fin = Vm.snapshot c.e st b in
-    c.check ~inputs:fin.Vm.inputs ~outputs:fin.Vm.outputs
+    c.check ~inputs:(Vm.inputs c.e st b) ~outputs:(Vm.outputs c.e st b)
 
   let tracks _ = []
   let branch_phase = None

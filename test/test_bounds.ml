@@ -77,9 +77,8 @@ let view_min_duplicate () =
   Alcotest.(check (option int)) "min dup" (Some 0) (Agreement.View.min_duplicate_index v);
   let v2 = [| vi 1; vi 2; vi 3 |] in
   Alcotest.(check (option int)) "no dup" None (Agreement.View.min_duplicate_index v2);
-  let eligible x = not (Shm.Value.equal x (vi 5)) in
-  Alcotest.(check (option int)) "eligible filter" (Some 1)
-    (Agreement.View.min_duplicate_index ~eligible v)
+  Alcotest.(check bool) "duplicated later" true (Agreement.View.duplicated_later v 1);
+  Alcotest.(check bool) "last copy" false (Agreement.View.duplicated_later v 2)
 
 let view_most_frequent () =
   let v = [| vi 1; vi 2; vi 2; vi 1; vi 2 |] in

@@ -30,6 +30,7 @@ let usage_errors =
     ("sa_attack", [ "theorem2"; "-n"; "0" ]);
     ("sa_attack", [ "clones"; "-k"; "1"; "--registers"; "0" ]);
     ("sa_table", [ "-n"; "-1" ]);
+    ("sa_run", [ "fuzz"; "--budget"; "0" ]);
   ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all

@@ -384,6 +384,70 @@ let visit_order_pinned () =
     "run_vm, 50 generated protocols (seed 1): nodes, violations"
     (23_579, 41) (!nodes, !violations)
 
+(* The state spaces of Figures 4 and 5, recorded before their programs
+   were rewritten to encode each stored tuple once and decode each scan
+   once: any changed transition moves a state key, and with it these
+   counts.  Proposal values are 100·instance + pid over 2 rounds. *)
+let rewritten_programs_pinned () =
+  let inputs = Shm.Exec.repeated_inputs ~rounds:2 (fun pid i -> vi ((100 * i) + pid)) in
+  let counts ~depth ~k config =
+    let s =
+      Spec.Modelcheck.stats_of
+        (Spec.Modelcheck.run
+           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+           ~depth ~inputs ~check:(check_safety ~k) config)
+    in
+    Spec.Modelcheck.[ s.explored; s.leaves; s.cache_hits; s.pruned ]
+  in
+  let fig4 = Params.make ~n:3 ~m:1 ~k:1 and fig5 = Params.make ~n:3 ~m:1 ~k:2 in
+  Alcotest.(check (list int)) "Figure 4, n=3, depth 12: explored, leaves, hits, pruned"
+    [ 9051; 5310; 200; 1561 ]
+    (counts ~depth:12 ~k:1 (Instances.repeated fig4));
+  Alcotest.(check (list int)) "Figure 5, n=3 k=2, depth 8"
+    [ 130; 42; 33; 30 ]
+    (counts ~depth:8 ~k:2 (Instances.anonymous fig5));
+  Alcotest.(check (list int)) "Figure 5, n=3 k=2, depth 12"
+    [ 463; 135; 111; 177 ]
+    (counts ~depth:12 ~k:2 (Instances.anonymous fig5))
+
+(* ---- allocation budget of a completion step ---- *)
+
+(* Minor-heap words per simulator step while completing 50 seeded
+   random prefixes (0–12 steps) of a Figure 3 or Figure 4 system, the
+   model checkers' completion workload.  Rebuilding a stored tuple, a
+   decoded scan or the snapshot API on every step shows up here. *)
+let words_per_completion_step ~n build inputs =
+  let steps = ref 0 and words = ref 0. in
+  for seed = 0 to 49 do
+    let prefix =
+      (Shm.Exec.run ~sched:(Shm.Schedule.random ~seed n) ~inputs ~max_steps:(seed mod 13)
+         (build ()))
+        .Shm.Exec.config
+    in
+    let before = Gc.minor_words () in
+    let r = Shm.Exec.run ~sched:(Shm.Schedule.completion n) ~inputs ~max_steps:100_000 prefix in
+    words := !words +. (Gc.minor_words () -. before);
+    steps := !steps + r.Shm.Exec.steps
+  done;
+  !words /. float_of_int !steps
+
+(* Measured on OCaml 5.1: Figure 4 298 → 100 words/step and Figure 3
+   143 → 87 when the programs stopped re-encoding and re-decoding per
+   step.  The bounds sit between those and the single regressions:
+   re-encoding Figure 4's tuple every iteration gives 131, decoding its
+   scan per predicate 141, building Figure 3's pair twice per iteration
+   125, rebuilding the atomic snapshot API per step 103 (Figure 3). *)
+let completion_allocation_budget () =
+  let p4 = Params.make ~n:4 ~m:1 ~k:1 and p3 = Params.make ~n:3 ~m:1 ~k:1 in
+  let fig4 =
+    words_per_completion_step ~n:4
+      (fun () -> Instances.repeated p4)
+      (Shm.Exec.repeated_inputs ~rounds:3 (fun pid i -> vi ((100 * i) + pid)))
+  in
+  let fig3 = words_per_completion_step ~n:3 (fun () -> Instances.oneshot p3) (inputs_for 3) in
+  if fig4 > 120. then Alcotest.failf "Figure 4: %.1f words/step > 120" fig4;
+  if fig3 > 100. then Alcotest.failf "Figure 3: %.1f words/step > 100" fig3
+
 (* Every combination of memory backend × cache-key flavour × domain
    count reaches the same verdict, on a correct and a starved instance.
    This pins the journaled backend's replay-based stealing and the
@@ -464,6 +528,8 @@ let suite =
       shrinker_reaches_empty;
     slow_test "jobs=1 and jobs=4 agree on outcomes" jobs_agree;
     test "visit order pinned: node, leaf and cache counts" visit_order_pinned;
+    test "Figures 4 and 5 state spaces pinned" rewritten_programs_pinned;
+    test "completion steps stay within their allocation budget" completion_allocation_budget;
     test "a raising check stops every worker and propagates" raising_check_propagates;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;

@@ -236,6 +236,111 @@ let prop_bot_decodes_to_none =
       Agreement.Repeated.decode Value.bot = None
       && Agreement.Anonymous.decode Value.bot = None)
 
+(* ---- Figure 4's predicates: raw view vs decoded once ---- *)
+
+module R = Agreement.Repeated
+
+(* The predicates as the paper states them, decoding entries one at a
+   time: the reference both the public predicates and the decoded-once
+   path the program runs must agree with. *)
+let ref_find_higher ~t view =
+  Array.fold_left
+    (fun best v ->
+      match R.decode v with
+      | Some tu when tu.R.t > t -> (
+        match best with Some b when b.R.t >= tu.R.t -> best | Some _ | None -> Some tu)
+      | Some _ | None -> best)
+    None view
+
+let ref_decide_check ~m ~t view =
+  let all_current =
+    Array.for_all (fun v -> match R.decode v with Some tu -> tu.R.t >= t | None -> false) view
+  in
+  if all_current && Agreement.View.distinct_count view <= m then
+    let j = Option.value (Agreement.View.min_duplicate_index view) ~default:0 in
+    Option.map (fun tu -> tu.R.pref) (R.decode view.(j))
+  else None
+
+let ref_adopt_check ~own ~i ~t view =
+  let clear = ref true in
+  Array.iteri
+    (fun j v -> if j <> i && (Value.is_bot v || Value.equal v (R.encode own)) then clear := false)
+    view;
+  (* j1: the minimum index of a t-tuple that appears again later *)
+  let r = Array.length view in
+  let rec j1 j =
+    if j >= r then None
+    else
+      match R.decode view.(j) with
+      | Some tu
+        when tu.R.t = t
+             && List.exists (fun j2 -> Value.equal view.(j) view.(j2))
+                  (List.init (r - j - 1) (fun d -> j + 1 + d)) ->
+        Some tu
+      | Some _ | None -> j1 (j + 1)
+  in
+  if !clear then
+    match j1 0 with
+    | Some tu when not (Value.equal tu.R.pref own.R.pref) -> Some tu.R.pref
+    | Some _ | None -> None
+  else None
+
+(* Views that hold duplicates, ⊥ entries and tuples of lower, equal and
+   higher instances than the process's. *)
+let fig4_case_gen =
+  QCheck.Gen.(
+    let tuple_gen =
+      map3
+        (fun (pref, id) t history -> { R.pref = Value.int pref; id; t; history })
+        (pair (int_bound 2) (int_bound 2))
+        (int_range 1 3)
+        (list_size (int_bound 3) (map Value.int (int_bound 2)))
+    in
+    (* entries come from a pool of three tuples, so duplicates are common *)
+    list_repeat 3 tuple_gen >>= fun pool ->
+    list_size (int_range 1 6) (option ~ratio:0.8 (oneofl pool)) >>= fun entries ->
+    let view =
+      Array.of_list (List.map (function Some tu -> R.encode tu | None -> Value.bot) entries)
+    in
+    let r = Array.length view in
+    let stored = List.filter_map Fun.id entries in
+    quad (int_range 1 3) (int_range 1 3) (int_bound (r - 1)) tuple_gen
+    >>= fun (m, t, i, fresh) ->
+    (* the process's own tuple: a fresh one of instance t, or one the
+       view already holds (so the "own tuple elsewhere" test bites) *)
+    let own_gen =
+      if stored = [] then return { fresh with R.t = t }
+      else oneof [ return { fresh with R.t = t }; oneofl stored ]
+    in
+    map (fun own -> (view, m, t, i, own)) own_gen)
+
+let fig4_case_print (view, m, t, i, own) =
+  Fmt.str "view [%s] m=%d t=%d i=%d own=%a"
+    (String.concat "; " (Array.to_list (Array.map Value.to_string view)))
+    m t i Value.pp (R.encode own)
+
+let same_tuple a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Value.equal (R.encode a) (R.encode b)
+  | Some _, None | None, Some _ -> false
+
+let prop_repeated_predicates =
+  QCheck.Test.make ~name:"Figure 4 predicates: raw and decoded-once views agree" ~count:1000
+    (QCheck.make ~print:fig4_case_print fig4_case_gen)
+    (fun (view, m, t, i, own) ->
+      let d = R.decode_view view in
+      let expected = ref_find_higher ~t view in
+      same_tuple (R.find_higher ~t view) expected
+      && same_tuple (R.higher ~t d) expected
+      && Option.equal Value.equal (R.decide_check ~m ~t view) (ref_decide_check ~m ~t view)
+      && Option.equal Value.equal (R.decides ~m ~t d) (ref_decide_check ~m ~t view)
+      && Option.equal Value.equal (R.adopt_check ~own ~i ~t view)
+           (ref_adopt_check ~own ~i ~t view)
+      && Option.equal Value.equal
+           (R.adopts ~own:(R.encode own) ~pref:own.R.pref ~i ~t d)
+           (ref_adopt_check ~own ~i ~t view))
+
 (* ---- the Theorem 2 adversary as a property ---- *)
 
 let small_params_gen =
@@ -302,6 +407,7 @@ let suite =
       prop_repeated_codec;
       prop_anonymous_codec;
       prop_bot_decodes_to_none;
+      prop_repeated_predicates;
       prop_starved_always_breaks;
       prop_correct_always_resists;
     ]
