@@ -487,9 +487,24 @@ let analyze_mutant (mu : Analyze.Mutants.mutant) =
         (List.length (Analyze.Lint.errors diags));
   }
 
+(* Under the calm profile the single-collect race needs two domains to
+   overlap physically, and the domains of one iteration are spawned one
+   after another: on a loaded 2-core host it was missed in about half
+   the smoke sweeps.  The stalls profile freezes a domain inside an
+   operation now and then (20–520 µs, a seeded decision), so a scan's
+   window stays open while the other domains run.  On a 2-core host
+   with two competing CPU-bound processes it caught both mutants within
+   11 iterations in 8 runs each, against up to 64 under the calm
+   profile. *)
 let conform_mutant ~budget ~seed (sut : Conform.Sut.t) =
   let cfg =
-    { Conform.Harness.default_config with seed; iters = budget; ops = 12 }
+    {
+      Conform.Harness.default_config with
+      seed;
+      iters = budget;
+      ops = 12;
+      profile = Conform.Chaos.Stalls;
+    }
   in
   match Conform.Harness.run_snapshot ~sut cfg with
   | Conform.Harness.Pass { iters; _ } ->

@@ -55,7 +55,8 @@ val check : kind -> Gen.program -> Gen.schedule -> string option
     The known-broken artefacts the suite keeps honest: every
     {!Analyze.Mutants} mutant must be rejected by the analyzer, and
     every {!Conform.Sut} mutant must be caught by the conformance
-    checker, within a fixed (budget, seed). *)
+    checker, within a fixed (budget, seed), under the seeded
+    {!Conform.Chaos.Stalls} plan that holds race windows open. *)
 
 type mutant_result = {
   mutant : string;

@@ -420,6 +420,13 @@ let key e st base =
     k_out = st.(base + e.o_scal + s_kout);
   }
 
+let key_words e st base words =
+  let scal = base + e.o_scal in
+  words.(0) <- st.!(scal + s_kmem);
+  words.(1) <- st.!(scal + s_klocals);
+  words.(2) <- st.!(scal + s_kin);
+  words.(3) <- st.!(scal + s_kout)
+
 (* The four components folded down to one non-negative hash, read
    straight off the slice — no record allocation, one mix, for
    per-step use (cache probes, the bench loops). *)

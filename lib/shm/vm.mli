@@ -132,6 +132,11 @@ type key = { k_mem : int; k_locals : int; k_in : int; k_out : int }
 
 val key : env -> int array -> int -> key
 
+(** [key_words e st base words] writes the four components of {!key}
+    into [words.(0..3)], read straight off the slice with no record —
+    the DPOR state-cache key, allocation-free. *)
+val key_words : env -> int array -> int -> int array -> unit
+
 (** One final mix over the four components, computed straight off the
     slice — allocation-free, for per-step use (the bench loops, cache
     probes). *)

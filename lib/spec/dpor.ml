@@ -36,10 +36,6 @@ module Instance = struct
   type nonrec ctx = ctx
   type state = { config : Config.t; hash : Statehash.t }
 
-  (* the incremental key (the fast default), or the original full MD5
-     digest (the audited reference path) *)
-  type key = Kinc of Statehash.key | Kfull of Digest.t
-
   let move c config pid =
     match Config.proc config pid with
     | Program.Await _ ->
@@ -89,8 +85,16 @@ module Instance = struct
     Explore.tock c.prof Obs.Prof.Hash t0;
     { config = config'; hash }
 
-  let key c { config; hash } =
-    if c.audit then Kfull (Statehash.full_key hash config) else Kinc (Statehash.key hash)
+  (* the incremental key (the fast default), or the original full MD5
+     digest (the audited reference path) as four 32-bit words *)
+  let key c { config; hash } words =
+    if c.audit then begin
+      let d = Statehash.full_key hash config in
+      for i = 0 to 3 do
+        words.(i) <- Int32.to_int (String.get_int32_le d (4 * i)) land 0xFFFF_FFFF
+      done
+    end
+    else Statehash.key_words hash words
 
   let release _ _ = ()
 

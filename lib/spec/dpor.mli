@@ -15,7 +15,8 @@
     form ([`Full] — the audited reference path, also the perf
     benchmark's old-cost arm).  Both induce the same partition of
     states up to hash collision; the equivalence is pinned by the
-    collision audit in the test suite. *)
+    collision audit in the test suite.  The {!Cache} takes either as
+    four ints: the digest's 16 bytes as four 32-bit words, losslessly. *)
 type key_mode = [ `Incremental | `Full ]
 
 (** [explore ~depth ~inputs ~check config] explores one representative

@@ -34,7 +34,9 @@
      only short-circuit a new visit if it had at least as much
      remaining depth budget and was explored with a sleep set no
      larger than the current one — both guards are required for
-     soundness (docs/EXPLORATION.md).
+     soundness (docs/EXPLORATION.md).  An instance writes its key as
+     four ints, and the entries live in one flat int table per worker
+     (Spec.Cache), not in boxed lists.
 
    - Parallel domains.  The schedule tree is sharded across OCaml 5
      domains with work-stealing deques: each domain pops batches of
@@ -117,14 +119,13 @@ let tock prof phase t0 =
 module type INSTANCE = sig
   type ctx
   type state
-  type key
 
   val replay : ctx -> int list -> state
   val runnable : ctx -> state -> int
   val local : ctx -> state -> int -> bool
   val commute : ctx -> state -> int -> int -> [ `Dep | `Indep | `Refined ]
   val step : ctx -> state -> int -> state
-  val key : ctx -> state -> key
+  val key : ctx -> state -> int array -> unit
   val release : ctx -> state -> unit
   val leaf : ctx -> state -> (unit, string) result
   val tracks : state -> (string * int) list
@@ -179,7 +180,8 @@ module Make (I : INSTANCE) = struct
     id : int;
     c : I.ctx;
     prof : Obs.Prof.t option;
-    cache : (I.key, (int * int) list) Hashtbl.t option;
+    cache : Cache.t option;
+    words : int array;  (* the key of the node being probed *)
     mutable until_sample : int;
     mutable explored : int;
     mutable leaves : int;
@@ -270,22 +272,13 @@ module Make (I : INSTANCE) = struct
   (* Skipping a revisit is sound only against an entry that (a) had at
      least as much remaining budget and (b) was explored with a sleep
      set no larger than ours — a smaller sleep set means *more*
-     branches were explored there, covering ours. *)
+     branches were explored there, covering ours (Spec.Cache). *)
   let covered sh w node =
     match w.cache with
     | None -> false
-    | Some tbl ->
-      let remaining = sh.bound - node.depth in
-      let key = I.key w.c node.state in
-      let entries = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-      List.exists (fun (r, sl) -> r >= remaining && sl land lnot node.sleep = 0) entries
-      || begin
-        let entries = (remaining, node.sleep) :: entries in
-        Hashtbl.replace tbl key
-          (if List.length entries > 8 then List.filteri (fun i _ -> i < 8) entries
-           else entries);
-        false
-      end
+    | Some c ->
+      I.key w.c node.state w.words;
+      Cache.visit c w.words ~remaining:(sh.bound - node.depth) ~sleep:node.sleep
 
   let leaf sh w node =
     w.leaves <- w.leaves + 1;
@@ -500,7 +493,8 @@ module Make (I : INSTANCE) = struct
             id;
             c = make prof;
             prof;
-            cache = (if cache && reduce then Some (Hashtbl.create 1024) else None);
+            cache = (if cache && reduce then Some (Cache.create 1024) else None);
+            words = Array.make 4 0;
             until_sample = sample_stride;
             explored = 0;
             leaves = 0;

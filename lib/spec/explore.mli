@@ -10,7 +10,9 @@
       sibling's is pruned;
     - {b state caching}: a revisit is skipped when an earlier visit of
       the same key had at least the remaining depth budget and a sleep
-      set no larger (at most 8 entries per key);
+      set no larger (the newest 8 entries per key); an instance hands
+      over its key as four ints, and each worker keeps its entries in
+      one flat int table ({!Cache}) that allocates nothing per visit;
     - {b parallel domains}: work-stealing deques, batched pops, and
       replay-based stealing — a thief rebuilds a stolen node by
       replaying its schedule from its own root.
@@ -67,7 +69,6 @@ val tock : Obs.Prof.t option -> Obs.Prof.phase -> int -> unit
 module type INSTANCE = sig
   type ctx
   type state
-  type key
 
   (** [replay ctx schedule] is the state reached from the root by
       stepping [schedule] (pids, in step order); [replay ctx []] is the
@@ -89,7 +90,9 @@ module type INSTANCE = sig
   (** The child state after [pid] steps; the parent stays valid. *)
   val step : ctx -> state -> int -> state
 
-  val key : ctx -> state -> key
+  (** [key ctx st words] writes the four ints of [st]'s state-cache key
+      into [words.(0..3)]; equal states must write equal words. *)
+  val key : ctx -> state -> int array -> unit
 
   (** The core is done with this state. *)
   val release : ctx -> state -> unit

@@ -203,6 +203,13 @@ let record t ~before after ev =
 
 let key t = t.key
 
+let key_words t words =
+  let k = t.key in
+  words.(0) <- k.k_mem;
+  words.(1) <- k.k_locals;
+  words.(2) <- k.k_in;
+  words.(3) <- k.k_out
+
 (* ---- the full-digest reference path (audit mode) ---- *)
 
 let compare_io (p1, i1, v1) (p2, i2, v2) =

@@ -47,6 +47,10 @@ val record : t -> before:Shm.Config.t -> Shm.Config.t -> Shm.Event.t -> t
 (** The incrementally maintained canonical key — O(1). *)
 val key : t -> key
 
+(** [key_words t words] writes the four ints of {!key} into
+    [words.(0..3)] — the state-cache key ({!Cache}), allocation-free. *)
+val key_words : t -> int array -> unit
+
 (** The uncompressed canonical form behind {!full_key} — exposed so
     tests can certify the incremental keys partition an enumerated
     state space exactly as the full canonical forms do.  Requires

@@ -4,9 +4,10 @@
    - a child is one [Array.blit] plus one in-place [Vm.step] — no
      closure dispatch, no persistent-structure rebuild, no per-node
      Value allocation;
-   - the state key is read off the slot ([Vm.key] is maintained
-     incrementally inside [Vm.step], hashing the machine state itself),
-     so cache lookups cost four loads and a table probe;
+   - the state key is read off the slot ([Vm.key_words]: the key is
+     maintained incrementally inside [Vm.step], hashing the machine
+     state itself), so cache lookups cost four loads and a probe of the
+     flat table (Spec.Cache);
    - the core pops the frontier in batches of [batch] nodes, so the
      children of a batch are bump-allocated consecutively and the next
      pass walks contiguous memory ([Obs.Prof.Vm_batch] attributes the
@@ -73,7 +74,6 @@ let indep a b =
 module Instance = struct
   type nonrec ctx = ctx
   type state = int
-  type key = Vm.key
 
   let base c s = s * c.a.words
 
@@ -107,7 +107,7 @@ module Instance = struct
     Explore.tock c.prof Obs.Prof.Vm_step t0;
     child
 
-  let key c s = Vm.key c.e c.a.buf (base c s)
+  let key c s words = Vm.key_words c.e c.a.buf (base c s) words
   let release c s = c.a.free <- s :: c.a.free
 
   let leaf c s =

@@ -3,7 +3,7 @@
 
     A child is one [Array.blit] plus one in-place [Vm.step], and the
     cache key is read off the slot (maintained incrementally by the vm,
-    hashing the machine state itself — see [Shm.Vm.key]).  The core
+    hashing the machine state itself — see {!Shm.Vm.key_words}).  The core
     pops the frontier [batch] nodes at a time, so successor slots are
     bump-allocated consecutively.  With [jobs > 1] the worker domains
     steal from each other; a thief replays the stolen schedule into its

@@ -477,6 +477,178 @@ let backends_and_key_modes_agree () =
                                    jobs)
                                 expect_ok (is_ok out)))))
 
+(* ---- the state cache ---- *)
+
+(* The list-per-key policy the flat table replaced, kept as the fake the
+   table is checked against: a key's entries newest first, cut to 8, and
+   a visit is covered when some entry had at least its remaining budget
+   and a sleep set inside its own. *)
+module Fake_cache = struct
+  type t = { tbl : (int list, (int * int) list) Hashtbl.t; mutable evictions : int }
+
+  let create () = { tbl = Hashtbl.create 16; evictions = 0 }
+
+  let visit t key ~remaining ~sleep =
+    let key = Array.to_list key in
+    let entries = Option.value (Hashtbl.find_opt t.tbl key) ~default:[] in
+    List.exists (fun (r, sl) -> r >= remaining && sl land lnot sleep = 0) entries
+    || begin
+      let entries = (remaining, sleep) :: entries in
+      if List.length entries > 8 then t.evictions <- t.evictions + 1;
+      Hashtbl.replace t.tbl key (List.filteri (fun i _ -> i < 8) entries);
+      false
+    end
+end
+
+(* A visit program over a tiny key space: key words from a three-value
+   pool (keys that differ in one word only are distinct keys), sleep
+   sets from six bits including the top ones a 62-process sleep set
+   uses, remaining budgets 0..15.  Few keys and many visits give keys
+   9 or more entries, so the oldest-entry eviction runs. *)
+let cache_program =
+  let open QCheck.Gen in
+  let word = oneofl [ 0; -1; max_int ] in
+  let key = map (fun l -> Array.of_list l) (list_repeat 4 word) in
+  let bits = oneofl [ 0; 1; 2; 59; 60; 61 ] in
+  let sleep = map (List.fold_left (fun m b -> m lor (1 lsl b)) 0) (list_size (0 -- 3) bits) in
+  let visit keys = triple (oneofl keys) (0 -- 15) sleep in
+  list_size (1 -- 6) key >>= fun keys -> list_size (50 -- 400) (visit keys)
+
+let print_visit (key, remaining, sleep) =
+  Fmt.str "%a r=%d s=%x" Fmt.(array ~sep:(any ".") int) key remaining sleep
+
+(* The table and the fake decide every visit of every program alike and
+   drop as many entries; over the run, some key must have reached a 9th
+   entry and some table must have doubled at least 3 times, or the
+   programs would not reach the paths they are for. *)
+let cache_model_test seed =
+  let evictions = ref 0 and doublings = ref 0 in
+  let rec log2 x = if x <= 1 then 0 else 1 + log2 (x / 2) in
+  let agree visits =
+    let real = Spec.Cache.create 1 and fake = Fake_cache.create () in
+    let cap0 = Spec.Cache.capacity real in
+    List.iteri
+      (fun i (key, remaining, sleep) ->
+        let r = Spec.Cache.visit real key ~remaining ~sleep
+        and f = Fake_cache.visit fake key ~remaining ~sleep in
+        if r <> f then
+          QCheck.Test.fail_reportf "visit %d (%s): table says %b, list policy %b" i
+            (print_visit (key, remaining, sleep))
+            r f)
+      visits;
+    if Spec.Cache.evictions real <> fake.Fake_cache.evictions then
+      QCheck.Test.fail_reportf "%d evictions, list policy %d" (Spec.Cache.evictions real)
+        fake.Fake_cache.evictions;
+    evictions := !evictions + Spec.Cache.evictions real;
+    doublings := max !doublings (log2 (Spec.Cache.capacity real / cap0));
+    true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| seed |])
+    (QCheck.Test.make ~count:300 ~name:"state cache decides every visit as the list policy"
+       (QCheck.make ~print:QCheck.Print.(list print_visit) cache_program)
+       agree);
+  if !evictions = 0 then Alcotest.fail "no key ever reached a 9th entry";
+  if !doublings < 3 then
+    Alcotest.failf "the table doubled at most %d times in one program" !doublings
+
+(* Minor-heap words allocated by [f ()]. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The cache allocates nothing per probe or insert once grown, and
+   neither do the two engines' key paths feeding it: the words of an
+   interpreter state's incremental hash (Spec.Statehash) and of a vm
+   arena slot (Shm.Vm). *)
+let cache_allocation_free () =
+  let words = Array.make 4 0 in
+  let c = Spec.Cache.create 1 in
+  let visit_int i ~remaining =
+    words.(0) <- i;
+    words.(1) <- i lxor 0x55;
+    words.(2) <- -i;
+    words.(3) <- 7;
+    Spec.Cache.visit c words ~remaining ~sleep:0
+  in
+  for i = 0 to 29_999 do
+    ignore (visit_int i ~remaining:3)
+  done;
+  let cap = Spec.Cache.capacity c in
+  let hits = ref 0 in
+  let w =
+    minor_words (fun () ->
+        for i = 0 to 4_999 do
+          (* a probe that hits, then an insert of a fresh key *)
+          if visit_int i ~remaining:2 then incr hits;
+          ignore (visit_int (30_000 + i) ~remaining:3)
+        done)
+  in
+  Alcotest.(check int) "every probe of a recorded key hits" 5_000 !hits;
+  Alcotest.(check int) "no growth while measured" cap (Spec.Cache.capacity c);
+  Alcotest.(check (float 0.)) "minor words over 10k probes and inserts" 0. w;
+  (* the interpreter's key path, over the states of a Figure 3 walk *)
+  let inputs = inputs_for 3 in
+  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
+  let config = Instances.oneshot (Params.make ~n:3 ~m:1 ~k:1) in
+  let rng = Shm.Rng.create 3 in
+  let rec walk config hash d acc =
+    let acc = hash :: acc in
+    let runnable = List.filter (fun pid -> Shm.Config.runnable config ~has_input pid) [ 0; 1; 2 ] in
+    if d = 0 || runnable = [] then acc
+    else
+      let pid = List.nth runnable (Shm.Rng.int rng (List.length runnable)) in
+      let config', ev =
+        match Shm.Config.proc config pid with
+        | Shm.Program.Await _ ->
+          let inst = Shm.Config.instance config pid + 1 in
+          Shm.Config.invoke config pid (Option.get (inputs ~pid ~instance:inst))
+        | _ -> Shm.Config.step config pid
+      in
+      walk config' (Spec.Statehash.record hash ~before:config config' ev) (d - 1) acc
+  in
+  let hashes =
+    Array.of_list
+      (List.concat_map
+         (fun _ -> walk config (Spec.Statehash.create config) 20 [])
+         (List.init 100 Fun.id))
+  in
+  let c = Spec.Cache.create (4 * Array.length hashes) in
+  let w =
+    minor_words (fun () ->
+        for i = 0 to Array.length hashes - 1 do
+          Spec.Statehash.key_words hashes.(i) words;
+          ignore (Spec.Cache.visit c words ~remaining:(i land 15) ~sleep:0)
+        done)
+  in
+  Alcotest.(check (float 0.)) "interpreter key path: minor words" 0. w;
+  (* the vm's key path, over slots of generated protocols *)
+  let p = Fuzz.Gen.generate (Shm.Rng.create 4) in
+  let e = Shm.Vm.env (Shm.Vm.compile p) ~inputs:Fuzz.Gen.inputs in
+  let sw = Shm.Vm.state_words e and slots = 1_000 in
+  let buf = Array.make (slots * sw) 0 in
+  for s = 0 to slots - 1 do
+    Shm.Vm.init e buf (s * sw);
+    for _ = 1 to s mod 17 do
+      let pid = Shm.Rng.int rng p.Shm.Vm.n in
+      if Shm.Vm.runnable e buf (s * sw) pid then Shm.Vm.step e buf (s * sw) pid
+    done
+  done;
+  let c = Spec.Cache.create (4 * slots) in
+  let w =
+    minor_words (fun () ->
+        for s = 0 to slots - 1 do
+          Shm.Vm.key_words e buf (s * sw) words;
+          ignore (Spec.Cache.visit c words ~remaining:(s land 15) ~sleep:0)
+        done)
+  in
+  Alcotest.(check (float 0.)) "vm key path: minor words" 0. w;
+  let k = Shm.Vm.key e buf 0 in
+  Shm.Vm.key_words e buf 0 words;
+  Alcotest.(check (array int)) "vm key words are the key's fields"
+    Shm.Vm.[| k.k_mem; k.k_locals; k.k_in; k.k_out |]
+    words
+
 (* ---- stress: replayable witness schedules ---- *)
 
 (* A Broken verdict now carries the pid schedule; replaying it from a
@@ -532,5 +704,7 @@ let suite =
     test "completion steps stay within their allocation budget" completion_allocation_budget;
     test "a raising check stops every worker and propagates" raising_check_propagates;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
+    seeded_test "state cache matches the list-per-key policy" cache_model_test;
+    test "state cache and key paths allocate nothing per visit" cache_allocation_free;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
   ]
